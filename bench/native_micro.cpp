@@ -306,6 +306,47 @@ void BM_TcpConnectClose(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpConnectClose);
 
+/// Receive-side PCB demux with N connections open. One iteration is one
+/// pure ACK on connection k mod N, carried tx -> wire -> rx eth/ip/tcp
+/// (header-prediction fast path, nothing sent back). Consecutive ACKs
+/// belong to different connections, so from N = 2 up every one misses
+/// the single-entry PCB cache and the demux proper finds it; N = 1 is the
+/// cache-hit floor. The N-dependence is the demux's miss-path cost.
+void BM_TcpDemux(benchmark::State& state) {
+  stack::HostConfig ca;
+  ca.name = "tx";
+  ca.mac = {2, 0, 0, 0, 0, 1};
+  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
+  stack::HostConfig cb;
+  cb.name = "rx";
+  cb.mac = {2, 0, 0, 0, 0, 2};
+  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
+  stack::Host tx(ca);
+  stack::Host rx(cb);
+  stack::NetDevice::connect(tx.device(), rx.device());
+  (void)rx.tcp().listen(80);
+  std::vector<stack::PcbId> conns;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    conns.push_back(tx.tcp().connect(cb.ip, 80));
+    for (int r = 0; r < 4; ++r) {
+      tx.pump();
+      rx.pump();
+    }
+    if (tx.tcp().state(conns.back()) != stack::TcpState::kEstablished) {
+      state.SkipWithError("handshake failed");
+      return;
+    }
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    tx.tcp().ack_now(conns[k]);
+    if (++k == conns.size()) k = 0;
+    benchmark::DoNotOptimize(rx.pump());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TcpDemux)->Arg(1)->Arg(24)->Arg(256)->Arg(1024);
+
 /// A full signalling setup/teardown pair between two nodes — the paper's
 /// target is 10 000 of these per second (<= 100 us per pair of messages on
 /// each side).

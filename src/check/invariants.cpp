@@ -118,6 +118,11 @@ void HostAuditor::audit_tcp() {
     track.rcv_nxt = p.rcv_nxt;
     track.snd_una = p.snd_una;
   }
+
+  // The demux index agrees with the PCBs: a stale entry would steer a
+  // segment to a closed slot or to the slot's next tenant.
+  std::string why;
+  if (!tcp.audit(&why)) violation(label_ + " tcp demux: " + why);
 }
 
 void HostAuditor::audit_reassembly() {

@@ -38,9 +38,9 @@ class HostAuditor {
   /// previous hook; one auditor per host).
   void install();
 
-  /// One audit sweep over TCP PCBs, the IP reassembly table and the ARP
-  /// cache, plus every registered extra audit. Safe to call directly
-  /// (tests do) as well as from the hook.
+  /// One audit sweep over TCP PCBs and their demux index, the IP
+  /// reassembly table and the ARP cache, plus every registered extra
+  /// audit. Safe to call directly (tests do) as well as from the hook.
   void run();
 
   /// Register a subsystem-supplied audit: it returns the violations it

@@ -7,26 +7,99 @@
 
 namespace ldlp::stack {
 
+namespace {
+[[nodiscard]] std::uint32_t index_of(SocketId id) noexcept {
+  return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
+}
+[[nodiscard]] std::uint32_t gen_of(SocketId id) noexcept {
+  return static_cast<std::uint32_t>(id >> 32);
+}
+[[nodiscard]] SocketId make_id(std::uint32_t index, std::uint32_t gen) noexcept {
+  return (static_cast<std::uint64_t>(gen) << 32) | (index + 1ull);
+}
+}  // namespace
+
 SocketId SocketLayer::create(SocketKind kind, std::size_t hiwat_bytes) {
-  Socket socket;
+  std::uint32_t index;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(sockets_.size());
+    sockets_.emplace_back();
+  }
+  Socket& socket = sockets_[index];
   socket.kind = kind;
   socket.hiwat = hiwat_bytes;
-  sockets_.push_back(std::move(socket));
-  return static_cast<SocketId>(sockets_.size() - 1);
+  socket.live = true;
+  return make_id(index, socket.gen);
+}
+
+const SocketLayer::Socket* SocketLayer::resolve(SocketId id) const noexcept {
+  const std::uint32_t index = index_of(id);
+  if (id == kNoSocket || index >= sockets_.size()) return nullptr;
+  const Socket& socket = sockets_[index];
+  return socket.live && socket.gen == gen_of(id) ? &socket : nullptr;
 }
 
 SocketLayer::Socket& SocketLayer::sock(SocketId id) {
-  LDLP_ASSERT_MSG(id < sockets_.size(), "bad socket id");
-  return sockets_[id];
+  Socket* socket = resolve(id);
+  LDLP_ASSERT_MSG(socket != nullptr, "bad or stale socket id");
+  return *socket;
 }
 
 const SocketLayer::Socket& SocketLayer::sock(SocketId id) const {
-  LDLP_ASSERT_MSG(id < sockets_.size(), "bad socket id");
-  return sockets_[id];
+  const Socket* socket = resolve(id);
+  LDLP_ASSERT_MSG(socket != nullptr, "bad or stale socket id");
+  return *socket;
+}
+
+void SocketLayer::close(SocketId id) {
+  Socket* socket = resolve(id);
+  if (socket == nullptr) return;
+  socket->app_closed = true;
+  if (socket->detached) sofree(id);
+}
+
+void SocketLayer::detach(SocketId id) {
+  Socket* socket = resolve(id);
+  if (socket == nullptr) return;
+  socket->detached = true;
+  if (socket->app_closed) sofree(id);
+}
+
+void SocketLayer::sofree(SocketId id) {
+  const std::uint32_t index = index_of(id);
+  Socket& socket = sockets_[index];
+  // Reset in place: clear() keeps each deque's first block for the next
+  // tenant instead of freeing it here and allocating it again in create().
+  socket.stream.clear();
+  socket.dgrams.clear();
+  socket.dgram_bytes = 0;
+  socket.wakeup = nullptr;
+  socket.stats = {};
+  socket.live = socket.app_closed = socket.detached = false;
+  ++socket.gen;  // every outstanding handle goes stale
+  free_.push_back(index);
+  ++layer_stats_.freed;
+}
+
+void SocketLayer::crash() {
+  for (std::uint32_t index = 0; index < sockets_.size(); ++index) {
+    Socket& s = sockets_[index];
+    if (s.live && s.kind == SocketKind::kStream) {
+      sofree(make_id(index, s.gen));
+      continue;
+    }
+    s.stream.clear();
+    s.dgrams.clear();
+    s.dgram_bytes = 0;
+    s.wakeup = nullptr;
+  }
 }
 
 void SocketLayer::set_wakeup(SocketId id, std::function<void(SocketId)> hook) {
-  sock(id).wakeup = std::move(hook);
+  if (Socket* socket = resolve(id)) socket->wakeup = std::move(hook);
 }
 
 void SocketLayer::wake(Socket& socket, SocketId id) {
@@ -41,9 +114,15 @@ void SocketLayer::process(core::Message msg) {
   trace_fn(Fn::kSbCompress);
   trace_rgn(Rgn::kSockBufMut);
   trace_rgn(Rgn::kSockLowRo);
-  const auto id = static_cast<SocketId>(msg.flow_id);
-  if (id >= sockets_.size()) return;
-  Socket& socket = sockets_[id];
+  const SocketId id = msg.flow_id;
+  Socket* live = resolve(id);
+  if (live == nullptr) {
+    // Queued before its socket was freed: the bytes belong to a closed
+    // connection, never to the slot's next tenant.
+    ++layer_stats_.stale_drops;
+    return;
+  }
+  Socket& socket = *live;
   LDLP_DASSERT(socket.kind == SocketKind::kStream);
 
   const std::uint32_t len = msg.packet.length();
@@ -70,14 +149,13 @@ void SocketLayer::process(core::Message msg) {
 void SocketLayer::deliver_datagram(SocketId id, Datagram dgram) {
   Socket& socket = sock(id);
   LDLP_DASSERT(socket.kind == SocketKind::kDatagram);
-  std::size_t queued = 0;
-  for (const Datagram& d : socket.dgrams) queued += d.payload.size();
-  if (queued + dgram.payload.size() > socket.hiwat) {
+  if (socket.dgram_bytes + dgram.payload.size() > socket.hiwat) {
     ++socket.stats.overflows;
     return;
   }
   socket.stats.appended_bytes += dgram.payload.size();
   if (tap_ != nullptr) tap_->on_datagram(id, dgram);
+  socket.dgram_bytes += dgram.payload.size();
   socket.dgrams.push_back(std::move(dgram));
   wake(socket, id);
 }
@@ -87,7 +165,9 @@ std::size_t SocketLayer::read(SocketId id, std::span<std::uint8_t> dst) {
   trace_fn(Fn::kSooRead);
   trace_fn(Fn::kUiomove);
   trace_fn(Fn::kCopyout);
-  Socket& socket = sock(id);
+  Socket* live = resolve(id);
+  if (live == nullptr) return 0;
+  Socket& socket = *live;
   const std::size_t n = std::min(dst.size(), socket.stream.size());
   std::copy_n(socket.stream.begin(), n, dst.begin());
   socket.stream.erase(socket.stream.begin(),
@@ -97,20 +177,23 @@ std::size_t SocketLayer::read(SocketId id, std::span<std::uint8_t> dst) {
 }
 
 std::optional<Datagram> SocketLayer::read_datagram(SocketId id) {
-  Socket& socket = sock(id);
-  if (socket.dgrams.empty()) return std::nullopt;
-  Datagram out = std::move(socket.dgrams.front());
-  socket.dgrams.pop_front();
-  socket.stats.read_bytes += out.payload.size();
+  Socket* socket = resolve(id);
+  if (socket == nullptr || socket->dgrams.empty()) return std::nullopt;
+  Datagram out = std::move(socket->dgrams.front());
+  socket->dgrams.pop_front();
+  socket->dgram_bytes -= out.payload.size();
+  socket->stats.read_bytes += out.payload.size();
   return out;
 }
 
 std::size_t SocketLayer::readable_bytes(SocketId id) const {
-  return sock(id).stream.size();
+  const Socket* socket = resolve(id);
+  return socket != nullptr ? socket->stream.size() : 0;
 }
 
 std::size_t SocketLayer::pending_datagrams(SocketId id) const {
-  return sock(id).dgrams.size();
+  const Socket* socket = resolve(id);
+  return socket != nullptr ? socket->dgrams.size() : 0;
 }
 
 const SocketStats& SocketLayer::socket_stats(SocketId id) const {
@@ -118,8 +201,9 @@ const SocketStats& SocketLayer::socket_stats(SocketId id) const {
 }
 
 std::size_t SocketLayer::room(SocketId id) const {
-  const Socket& socket = sock(id);
-  return socket.hiwat - std::min(socket.hiwat, socket.stream.size());
+  const Socket* socket = resolve(id);
+  if (socket == nullptr) return 0;
+  return socket->hiwat - std::min(socket->hiwat, socket->stream.size());
 }
 
 }  // namespace ldlp::stack

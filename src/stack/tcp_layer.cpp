@@ -1,6 +1,7 @@
 #include "stack/tcp_layer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -39,18 +40,40 @@ const TcpPcb& TcpLayer::pcb(PcbId id) const {
 }
 
 PcbId TcpLayer::alloc_pcb() {
-  for (PcbId id = 0; id < pcbs_.size(); ++id) {
-    if (pcbs_[id]->is_free()) {
-      // A freed slot should have synced its wheel timer away; cancel
-      // defensively so a stale callback can never fire for the tenant.
-      if (wheel_ != nullptr && pcbs_[id]->wheel_timer != time::kNoTimer)
-        wheel_->cancel(pcbs_[id]->wheel_timer);
-      *pcbs_[id] = TcpPcb{};
-      return id;
-    }
+  for (std::size_t w = 0; w < free_slots_.size(); ++w) {
+    if (free_slots_[w] == 0) continue;
+    const auto id = static_cast<PcbId>(
+        w * 64 + static_cast<std::size_t>(std::countr_zero(free_slots_[w])));
+    free_slots_[w] &= free_slots_[w] - 1;  // clear the lowest set bit
+    // A freed slot should have synced its wheel timer away; cancel
+    // defensively so a stale callback can never fire for the tenant.
+    if (wheel_ != nullptr && pcbs_[id]->wheel_timer != time::kNoTimer)
+      wheel_->cancel(pcbs_[id]->wheel_timer);
+    *pcbs_[id] = TcpPcb{};
+    return id;
   }
+  const auto id = static_cast<PcbId>(pcbs_.size());
   pcbs_.push_back(std::make_unique<TcpPcb>());
-  return static_cast<PcbId>(pcbs_.size() - 1);
+  if (id % 64 == 0) free_slots_.push_back(0);
+  return id;
+}
+
+void TcpLayer::release_pcb(PcbId id) {
+  TcpPcb& p = pcb(id);
+  if (p.state == TcpState::kListen) {
+    listeners_.erase(p.local_port);
+  } else if (p.indexed()) {
+    index_.erase(key_of(p));
+  }
+  p.state = TcpState::kClosed;
+  free_slots_[id / 64] |= std::uint64_t{1} << (id % 64);
+  if (p.unaccepted) sockets_.close(p.socket);
+  sockets_.detach(p.socket);
+}
+
+PcbId TcpLayer::listener_on(std::uint16_t port) const {
+  const auto it = listeners_.find(port);
+  return it != listeners_.end() ? it->second : kNoPcb;
 }
 
 std::uint32_t TcpLayer::next_iss() noexcept {
@@ -59,11 +82,13 @@ std::uint32_t TcpLayer::next_iss() noexcept {
 }
 
 PcbId TcpLayer::listen(std::uint16_t port) {
+  LDLP_ASSERT_MSG(listener_on(port) == kNoPcb, "port already has a listener");
   const PcbId id = alloc_pcb();
   TcpPcb& p = pcb(id);
   p.state = TcpState::kListen;
   p.local_ip = ip_.ip_addr();
   p.local_port = port;
+  listeners_.emplace(port, id);
   return id;
 }
 
@@ -73,10 +98,17 @@ PcbId TcpLayer::connect(std::uint32_t dst_ip, std::uint16_t dst_port) {
   TcpPcb& p = pcb(id);
   p.state = TcpState::kSynSent;
   p.local_ip = ip_.ip_addr();
-  p.local_port = next_ephemeral_++;
-  if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
   p.remote_ip = dst_ip;
   p.remote_port = dst_port;
+  // Skip an ephemeral port whose tuple is still in use (4.4BSD in_pcbbind):
+  // after the counter wraps, two PCBs must never share a tuple.
+  for (int tries = 0;; ++tries) {
+    LDLP_ASSERT_MSG(tries < 65536 - 49152, "ephemeral ports exhausted");
+    p.local_port = next_ephemeral_++;
+    if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
+    if (!index_.contains(key_of(p))) break;
+  }
+  index_.emplace(key_of(p), id);
   p.iss = next_iss();
   p.snd_una = p.iss;
   p.snd_nxt = p.iss;
@@ -111,6 +143,7 @@ bool TcpLayer::send(PcbId id, std::span<const std::uint8_t> data) {
 void TcpLayer::close(PcbId id) {
   trace_fn(Fn::kTcpUsrreq);
   TcpPcb& p = pcb(id);
+  sockets_.close(p.socket);
   switch (p.state) {
     case TcpState::kListen:
     case TcpState::kSynSent:
@@ -119,7 +152,7 @@ void TcpLayer::close(PcbId id) {
       cancel_timers(p);
       p.rtx.clear();
       p.send_buffer.clear();
-      p.state = TcpState::kClosed;
+      release_pcb(id);
       if (last_pcb_ == id) last_pcb_ = kNoPcb;
       break;
     case TcpState::kSynReceived:
@@ -136,6 +169,7 @@ void TcpLayer::close(PcbId id) {
 
 void TcpLayer::abort(PcbId id) {
   TcpPcb& p = pcb(id);
+  sockets_.close(p.socket);
   if (p.state != TcpState::kClosed && p.state != TcpState::kListen) {
     send_rst(p.remote_ip, p.remote_port, p.local_ip, p.local_port, p.snd_nxt,
              0, false);
@@ -160,20 +194,13 @@ PcbId TcpLayer::demux(std::uint32_t src_ip, std::uint16_t src_port,
     return last_pcb_;
   }
   ++stats_.pcb_cache_misses;
-  for (PcbId id = 0; id < pcbs_.size(); ++id) {
-    if (pcbs_[id]->matches(src_ip, src_port, dst_ip, dst_port)) {
-      last_pcb_ = id;
-      return id;
-    }
+  const auto it = index_.find({src_ip, dst_ip, src_port, dst_port});
+  if (it != index_.end()) {
+    last_pcb_ = it->second;
+    return it->second;
   }
   // Fall back to a listener on the destination port.
-  for (PcbId id = 0; id < pcbs_.size(); ++id) {
-    if (pcbs_[id]->state == TcpState::kListen &&
-        pcbs_[id]->local_port == dst_port) {
-      return id;
-    }
-  }
-  return kNoPcb;
+  return listener_on(dst_port);
 }
 
 std::uint16_t TcpLayer::advertised_window(const TcpPcb& p) const {
@@ -248,15 +275,11 @@ void TcpLayer::process(core::Message msg) {
   if (pcb(id).state == TcpState::kTimeWait && header->has(kSyn) &&
       !header->has(kAck) && !header->has(kRst) &&
       seq_gt(header->seq, pcb(id).rcv_nxt)) {
-    const std::uint16_t port = pcb(id).local_port;
-    for (PcbId lid = 0; lid < pcbs_.size(); ++lid) {
-      if (pcbs_[lid]->state == TcpState::kListen &&
-          pcbs_[lid]->local_port == port) {
-        ++stats_.time_wait_reuses;
-        reset_connection(id);
-        id = lid;
-        break;
-      }
+    const PcbId lid = listener_on(pcb(id).local_port);
+    if (lid != kNoPcb) {
+      ++stats_.time_wait_reuses;
+      reset_connection(id);
+      id = lid;
     }
   }
 
@@ -295,6 +318,8 @@ void TcpLayer::process(core::Message msg) {
     child.rto_sec = cfg_.rto_initial_sec;
     child.last_rcv_time = now();
     child.socket = sockets_.create(SocketKind::kStream);
+    child.unaccepted = true;
+    index_.emplace(key_of(child), child_id);
     send_segment(child_id, static_cast<std::uint8_t>(kSyn | kAck), {},
                  /*retransmission=*/false);
     sync_wheel(child_id);  // the guard tracks the listener, not the child
@@ -440,7 +465,7 @@ void TcpLayer::process(core::Message msg) {
       case TcpState::kFinWait1: p.state = TcpState::kFinWait2; break;
       case TcpState::kClosing: enter_time_wait(id); break;
       case TcpState::kLastAck:
-        p.state = TcpState::kClosed;
+        release_pcb(id);
         return;
       default: break;
     }
@@ -716,6 +741,7 @@ void TcpLayer::enter_established(PcbId id) {
   TcpPcb& p = pcb(id);
   if (p.state == TcpState::kEstablished) return;
   p.state = TcpState::kEstablished;
+  p.unaccepted = false;
   ++stats_.conns_established;
   last_pcb_ = id;
   if (accept_hook_) accept_hook_(id);
@@ -745,7 +771,7 @@ void TcpLayer::reset_connection(PcbId id) {
   TcpPcb& p = pcb(id);
   if (p.state != TcpState::kClosed) ++stats_.conns_reset;
   if (last_pcb_ == id) last_pcb_ = kNoPcb;
-  p.state = TcpState::kClosed;
+  release_pcb(id);
   p.rtx.clear();
   p.send_buffer.clear();
   p.ooo.clear();
@@ -763,11 +789,13 @@ void TcpLayer::crash() {
   // simply stops existing mid-thought. Each slot is reinitialised so
   // alloc_pcb() can hand it out fresh after the reboot. Wheel timers are
   // software, not protocol state — cancel them or they would fire into
-  // the wiped PCBs.
-  for (auto& p : pcbs_) {
-    if (wheel_ != nullptr && p->wheel_timer != time::kNoTimer)
-      wheel_->cancel(p->wheel_timer);
-    *p = TcpPcb{};
+  // the wiped PCBs. The sockets are the socket layer's to free.
+  for (PcbId id = 0; id < pcbs_.size(); ++id) {
+    TcpPcb& p = *pcbs_[id];
+    if (wheel_ != nullptr && p.wheel_timer != time::kNoTimer)
+      wheel_->cancel(p.wheel_timer);
+    if (!p.is_free()) release_pcb(id);
+    p = TcpPcb{};
   }
   last_pcb_ = kNoPcb;
 }
@@ -791,7 +819,7 @@ void TcpLayer::pcb_timer(PcbId id) {
     case TcpState::kTimeWait:
       if (t >= p.time_wait_deadline) {
         if (last_pcb_ == id) last_pcb_ = kNoPcb;
-        p.state = TcpState::kClosed;
+        release_pcb(id);
       }
       return;
     default:
@@ -935,6 +963,47 @@ void TcpLayer::sync_wheel(PcbId id) {
     return;
   if (p.wheel_timer != time::kNoTimer) wheel_->cancel(p.wheel_timer);
   p.wheel_timer = wheel_->arm(deadline, cls, [this, id] { pcb_timer(id); });
+}
+
+bool TcpLayer::audit(std::string* why) const {
+  const auto fail = [why](std::string what) {
+    if (why != nullptr) *why = std::move(what);
+    return false;
+  };
+  const auto who = [this](PcbId id) {
+    return "pcb " + std::to_string(id) + " (" +
+           std::string(tcp_state_name(pcbs_[id]->state)) + ")";
+  };
+  for (PcbId id = 0; id < pcbs_.size(); ++id) {
+    const TcpPcb& p = *pcbs_[id];
+    if (slot_free(id) != p.is_free())
+      return fail(who(id) + (p.is_free() ? ": closed but not marked free"
+                                         : ": in use but marked free"));
+    if (p.state == TcpState::kListen && listener_on(p.local_port) != id)
+      return fail(who(id) + ": not the listener indexed for port " +
+                  std::to_string(p.local_port));
+    if (p.indexed()) {
+      const auto it = index_.find(key_of(p));
+      if (it == index_.end() || it->second != id)
+        return fail(who(id) + ": not found by its own tuple");
+    }
+  }
+  for (const auto& [key, id] : index_) {
+    if (id >= pcbs_.size())
+      return fail("index entry names missing slot " + std::to_string(id));
+    if (!pcbs_[id]->indexed())
+      return fail("index entry names " + who(id) + ", which owns no tuple");
+    if (key_of(*pcbs_[id]) != key)
+      return fail("index entry for port " + std::to_string(key.local_port) +
+                  " names " + who(id) + " with a different tuple");
+  }
+  for (const auto& [port, id] : listeners_) {
+    if (id >= pcbs_.size() || pcbs_[id]->state != TcpState::kListen ||
+        pcbs_[id]->local_port != port)
+      return fail("listener entry for port " + std::to_string(port) +
+                  " names a slot that is not listening on it");
+  }
+  return true;
 }
 
 }  // namespace ldlp::stack

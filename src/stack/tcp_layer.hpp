@@ -1,11 +1,13 @@
 // TCP layer: demultiplexing (with the single-entry PCB cache the paper's
-// trace exercises), input state machine with header-prediction fast path,
-// output/segmentation, and timers.
+// trace exercises, backed by a hashed 4-tuple index), input state machine
+// with header-prediction fast path, output/segmentation, and timers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/stack_graph.hpp"
@@ -15,9 +17,6 @@
 #include "time/timer_wheel.hpp"
 
 namespace ldlp::stack {
-
-using PcbId = std::uint32_t;
-inline constexpr PcbId kNoPcb = ~PcbId{0};
 
 struct TcpLayerStats {
   std::uint64_t segs_in = 0;
@@ -48,7 +47,8 @@ class TcpLayer final : public core::Layer {
   void set_wheel(time::TimerWheel* wheel) noexcept { wheel_ = wheel; }
 
   /// Passive open. Connections accepted on this port get fresh PCBs and
-  /// sockets; `on_accept` (if set) fires when they reach ESTABLISHED.
+  /// sockets; `on_accept` (if set) fires when they reach ESTABLISHED. A
+  /// port takes one listener at a time.
   [[nodiscard]] PcbId listen(std::uint16_t port);
   void set_accept_hook(std::function<void(PcbId)> hook) {
     accept_hook_ = std::move(hook);
@@ -61,15 +61,18 @@ class TcpLayer final : public core::Layer {
   /// full or the connection cannot send.
   [[nodiscard]] bool send(PcbId id, std::span<const std::uint8_t> data);
 
-  /// Orderly close (FIN after queued data drains).
+  /// Orderly close (FIN after queued data drains). This is also the
+  /// application's close of the connection's socket: the socket slot is
+  /// freed once the PCB reaches CLOSED, whichever happens first.
   void close(PcbId id);
-  /// Abortive close (RST).
+  /// Abortive close (RST); frees the socket like close().
   void abort(PcbId id);
 
   /// Host crash: drop every PCB on the floor without a single segment on
   /// the wire — the peer only learns via RST-on-probe or keepalive after
-  /// the host returns (FaultKind::kHostRestart). Layer-level counters
-  /// survive; they describe the machine, not the incarnation.
+  /// the host returns (FaultKind::kHostRestart). Stream sockets are freed
+  /// by SocketLayer::crash(). Layer-level counters survive; they describe
+  /// the machine, not the incarnation.
   void crash();
 
   /// Drive retransmit / delayed-ACK / TIME_WAIT timers for every PCB
@@ -107,18 +110,40 @@ class TcpLayer final : public core::Layer {
   [[nodiscard]] const TcpLayerStats& tcp_stats() const noexcept {
     return stats_;
   }
+  /// PCB slots ever allocated: the high-water of concurrent PCBs, since a
+  /// new PCB always takes the lowest free slot.
   [[nodiscard]] std::size_t pcb_count() const noexcept { return pcbs_.size(); }
+
+  /// Check the demux structures against the PCBs: every PCB that owns a
+  /// 4-tuple is found by it, no index entry names a closed slot or a
+  /// different tuple, each listener is indexed by its port, and the
+  /// free-slot bitmap marks exactly the CLOSED slots. On failure returns
+  /// false with a description in `why` (if non-null).
+  [[nodiscard]] bool audit(std::string* why) const;
 
  protected:
   void process(core::Message msg) override;
 
  private:
+  /// Lets tests plant a corrupt demux entry for the auditor to catch.
+  friend struct TcpLayerTestPeer;
+
   [[nodiscard]] double now() const noexcept {
     return now_sec_ != nullptr ? *now_sec_ : 0.0;
   }
   [[nodiscard]] TcpPcb& pcb(PcbId id);
   [[nodiscard]] const TcpPcb& pcb(PcbId id) const;
+  /// Lowest free slot, as a first-fit scan would pick, so PcbIds do not
+  /// depend on how the free slots are found.
   [[nodiscard]] PcbId alloc_pcb();
+  /// Move a PCB to CLOSED (4.4BSD tcp_close): drop it from the demux
+  /// index or the listener map, return its slot to the free bitmap and
+  /// let go of its socket.
+  void release_pcb(PcbId id);
+  [[nodiscard]] bool slot_free(PcbId id) const noexcept {
+    return (free_slots_[id / 64] >> (id % 64) & 1) != 0;
+  }
+  [[nodiscard]] PcbId listener_on(std::uint16_t port) const;
   [[nodiscard]] PcbId demux(std::uint32_t src_ip, std::uint16_t src_port,
                             std::uint32_t dst_ip, std::uint16_t dst_port);
 
@@ -173,6 +198,11 @@ class TcpLayer final : public core::Layer {
   const double* now_sec_ = nullptr;
   time::TimerWheel* wheel_ = nullptr;
   std::vector<std::unique_ptr<TcpPcb>> pcbs_;
+  /// One bit per slot, set while the slot is CLOSED (free).
+  std::vector<std::uint64_t> free_slots_;
+  /// 4-tuple -> PCB, for every indexed() PCB.
+  std::unordered_map<PcbKey, PcbId, PcbKeyHash> index_;
+  std::unordered_map<std::uint16_t, PcbId> listeners_;  ///< port -> LISTEN.
   PcbId last_pcb_ = kNoPcb;  ///< Single-entry PCB cache.
   std::uint16_t next_ephemeral_ = 49152;
   std::uint32_t iss_counter_ = 0x1000;

@@ -9,6 +9,7 @@
 // RFC 1323 features disabled).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -19,6 +20,9 @@
 #include "stack/socket_layer.hpp"
 
 namespace ldlp::stack {
+
+using PcbId = std::uint32_t;
+inline constexpr PcbId kNoPcb = ~PcbId{0};
 
 enum class TcpState : std::uint8_t {
   kClosed,
@@ -133,6 +137,9 @@ struct TcpPcb {
   std::map<std::uint32_t, std::vector<std::uint8_t>> ooo;  ///< seq -> bytes.
   bool fin_received = false;
   bool fin_queued = false;  ///< Application closed; FIN follows the data.
+  /// A listener's child not yet handed to the application (4.4BSD so_q0):
+  /// no one else holds its socket, so the socket dies with the PCB.
+  bool unaccepted = false;
 
   double last_rcv_time = 0.0;          ///< Clock at the last segment heard.
   std::uint32_t keep_probes_sent = 0;  ///< Unanswered keepalive probes.
@@ -149,17 +156,47 @@ struct TcpPcb {
   [[nodiscard]] bool is_free() const noexcept {
     return state == TcpState::kClosed;
   }
+  /// In the demux index: every state that owns a 4-tuple.
+  [[nodiscard]] bool indexed() const noexcept {
+    return state != TcpState::kClosed && state != TcpState::kListen;
+  }
   [[nodiscard]] bool matches(std::uint32_t src_ip, std::uint16_t src_port,
                              std::uint32_t dst_ip,
                              std::uint16_t dst_port) const noexcept {
-    return state != TcpState::kClosed && state != TcpState::kListen &&
-           remote_ip == src_ip && remote_port == src_port &&
+    return indexed() && remote_ip == src_ip && remote_port == src_port &&
            local_ip == dst_ip && local_port == dst_port;
   }
   /// Bytes of send window still usable.
   [[nodiscard]] std::uint32_t usable_window() const noexcept {
     const std::uint32_t in_flight = snd_nxt - snd_una;
     return snd_wnd > in_flight ? snd_wnd - in_flight : 0;
+  }
+};
+
+/// A connection's 4-tuple, as seen from its own side.
+struct PcbKey {
+  std::uint32_t remote_ip = 0;
+  std::uint32_t local_ip = 0;
+  std::uint16_t remote_port = 0;
+  std::uint16_t local_port = 0;
+  friend bool operator==(const PcbKey&, const PcbKey&) = default;
+};
+
+[[nodiscard]] inline PcbKey key_of(const TcpPcb& p) noexcept {
+  return {p.remote_ip, p.local_ip, p.remote_port, p.local_port};
+}
+
+/// Hash of a 4-tuple for the demux index: both halves multiplied into
+/// one word, high bits folded down.
+struct PcbKeyHash {
+  [[nodiscard]] std::size_t operator()(const PcbKey& key) const noexcept {
+    const std::uint64_t ips =
+        (std::uint64_t{key.remote_ip} << 32) | key.local_ip;
+    const std::uint64_t ports =
+        (std::uint64_t{key.remote_port} << 16) | key.local_port;
+    const std::uint64_t h =
+        (ips ^ (ports * 0xc2b2ae3d27d4eb4fULL)) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
   }
 };
 

@@ -85,6 +85,25 @@ TEST(OracleStream, UnboundSocketIgnored) {
   EXPECT_TRUE(oracle.finalize());
 }
 
+TEST(OracleStream, RecycledSocketSlotIsANewBinding) {
+  // A freed stream socket's slot comes back under a new generation, so the
+  // oracle never credits the next tenant's bytes to the old flow.
+  stack::SocketLayer sockets;
+  const stack::SocketId first = sockets.create(stack::SocketKind::kStream);
+  sockets.close(first);
+  sockets.detach(first);
+  const stack::SocketId second = sockets.create(stack::SocketKind::kStream);
+  ASSERT_FALSE(sockets.valid(first));
+  ASSERT_NE(first, second);
+  check::DeliveryOracle oracle;
+  const auto flow = oracle.open_stream("t");
+  oracle.bind_stream_rx(flow, first);
+  oracle.stream_sent(flow, bytes_of({1, 2}));
+  oracle.on_stream_append(second, bytes_of({9, 9, 9}));  // next tenant
+  oracle.on_stream_append(first, bytes_of({1, 2}));
+  EXPECT_TRUE(oracle.finalize());
+}
+
 // ---- DeliveryOracle: datagram flows ------------------------------------
 
 stack::Datagram dgram(std::vector<std::uint8_t> payload) {
@@ -238,6 +257,96 @@ TEST(HostAuditor, CleanTransferAuditsClean) {
     EXPECT_GT(aud_a.stats().passes, 0u);
     EXPECT_GT(aud_b.stats().pcbs_checked, 0u);
     net.b->sockets().set_tap(nullptr);
+  }
+}
+
+/// Open a connection a -> b, exchange a little data, then either close
+/// it in order or abort it (a RST resets both ends). Returns true once
+/// the connection was established.
+bool run_connection(Pair& net, bool abort) {
+  (void)net.b->tcp().listen(80);
+  const stack::PcbId conn =
+      net.a->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+  for (int i = 0; i < 20 && net.a->tcp().state(conn) !=
+                                stack::TcpState::kEstablished;
+       ++i)
+    net.tick(0.01);
+  if (net.a->tcp().state(conn) != stack::TcpState::kEstablished) return false;
+  if (!net.a->tcp().send(conn, bytes_of({1, 2, 3, 4}))) return false;
+  net.tick(0.01);
+  if (abort) {
+    net.a->tcp().abort(conn);
+  } else {
+    net.a->tcp().close(conn);
+  }
+  for (int i = 0; i < 40; ++i) net.tick(0.05);
+  return true;
+}
+
+}  // namespace
+}  // namespace ldlp
+
+namespace ldlp::stack {
+/// Reaches into TcpLayer to plant what a reset_connection that skipped
+/// its index erase would leave behind: a CLOSED slot still indexed by the
+/// tuple it held.
+struct TcpLayerTestPeer {
+  static void keep_stale_entry(TcpLayer& tcp, PcbId id) {
+    ASSERT_EQ(tcp.state(id), TcpState::kClosed);
+    tcp.index_.emplace(key_of(tcp.pcb(id)), id);
+  }
+};
+}  // namespace ldlp::stack
+
+namespace ldlp {
+namespace {
+
+TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
+  // Mutation: reset_connection forgets to erase the dead connection's
+  // tuple from the demux index. The audit must flag the stale entry left
+  // by a reset, and stay green through a reset and a calm run without it.
+  for (const auto mode :
+       {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {
+    {
+      Pair net(mode);
+      check::HostAuditor aud_a(*net.a);
+      check::HostAuditor aud_b(*net.b);
+      aud_a.install();
+      aud_b.install();
+      ASSERT_TRUE(run_connection(net, /*abort=*/true));
+      aud_a.run();  // the aborting side's pass may have handled no frames
+      aud_b.run();
+      EXPECT_TRUE(aud_a.ok()) << aud_a.violations()[0];
+      EXPECT_TRUE(aud_b.ok()) << aud_b.violations()[0];
+      ASSERT_GT(net.a->tcp().tcp_stats().conns_reset, 0u);
+      ASSERT_GT(net.b->tcp().tcp_stats().conns_reset, 0u);
+
+      // The RST reset both ends: a's connection (pcb 0) and b's child
+      // (pcb 1, next to the listener).
+      stack::TcpLayerTestPeer::keep_stale_entry(net.a->tcp(), 0);
+      stack::TcpLayerTestPeer::keep_stale_entry(net.b->tcp(), 1);
+      net.tick(0.05);
+      aud_a.run();
+      aud_b.run();
+      for (const check::HostAuditor* aud : {&aud_a, &aud_b}) {
+        ASSERT_FALSE(aud->ok());
+        EXPECT_NE(aud->violations()[0].find("(CLOSED), which owns no tuple"),
+                  std::string::npos)
+            << aud->violations()[0];
+      }
+    }
+    {
+      Pair net(mode);  // calm: orderly close never resets
+      check::HostAuditor aud_a(*net.a);
+      check::HostAuditor aud_b(*net.b);
+      aud_a.install();
+      aud_b.install();
+      ASSERT_TRUE(run_connection(net, /*abort=*/false));
+      aud_a.run();
+      aud_b.run();
+      EXPECT_TRUE(aud_a.ok()) << aud_a.violations()[0];
+      EXPECT_TRUE(aud_b.ok()) << aud_b.violations()[0];
+    }
   }
 }
 

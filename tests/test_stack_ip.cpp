@@ -344,6 +344,32 @@ TEST(Sockets, ReceiveBufferOverflowCounted) {
   EXPECT_GT(net.b->sockets().socket_stats(rx_sock).overflows, 0u);
 }
 
+TEST(Sockets, DatagramRoomComesBackOnReadAndCrash) {
+  // The queued-byte count behind the hiwat check is kept incrementally:
+  // a read and a crash must both hand the room back.
+  SocketLayer sockets;
+  const SocketId sock = sockets.create(SocketKind::kDatagram, 64);
+  const auto deliver = [&] {
+    Datagram d;
+    d.payload.assign(32, 0x5a);
+    sockets.deliver_datagram(sock, std::move(d));
+  };
+  deliver();
+  deliver();
+  deliver();  // past hiwat: dropped
+  EXPECT_EQ(sockets.pending_datagrams(sock), 2u);
+  EXPECT_EQ(sockets.socket_stats(sock).overflows, 1u);
+  ASSERT_TRUE(sockets.read_datagram(sock).has_value());
+  deliver();
+  EXPECT_EQ(sockets.pending_datagrams(sock), 2u);
+  EXPECT_EQ(sockets.socket_stats(sock).overflows, 1u);
+  sockets.crash();
+  deliver();
+  deliver();
+  EXPECT_EQ(sockets.pending_datagrams(sock), 2u);
+  EXPECT_EQ(sockets.socket_stats(sock).overflows, 1u);
+}
+
 TEST(Scheduling, LdlpAndConventionalDeliverSameData) {
   for (const auto mode :
        {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {

@@ -27,22 +27,23 @@ int main(int argc, char** argv) {
   std::printf("%6s | %11s | %10s %10s | %7s | %6s\n", "cap", "mean lat",
               "I-miss/msg", "D-miss/msg", "drop%", "batch");
   for (const std::uint32_t cap : {1u, 2u, 4u, 8u, 12u, 16u, 32u, 64u, 500u}) {
-    synth::SynthConfig cfg;
+    synth::Stack cfg;
     cfg.mode = synth::SynthMode::kLdlp;
-    cfg.batch_limit = cap;
-    const auto points = synth::sweep_poisson_rates(cfg, {rate}, opt);
+    sim::Machine machine;
+    machine.batch_limit = cap;
+    const auto points = synth::sweep_poisson_rates(cfg, {rate}, opt, machine);
     const auto& m = points.front().mean;
     std::printf("%6u | %11s | %10.1f %10.1f | %6.1f%% | %6.2f\n", cap,
-                benchutil::fmt_latency(m.mean_latency_sec).c_str(),
-                m.i_misses_per_msg, m.d_misses_per_msg,
+                benchutil::fmt_latency(m.mean_latency).c_str(),
+                m.i_miss_per_msg, m.d_miss_per_msg,
                 m.offered != 0 ? 100.0 * static_cast<double>(m.dropped) /
                                      static_cast<double>(m.offered)
                                : 0.0,
                 m.mean_batch);
     const std::string c = std::to_string(cap);
-    report.metric("mean_latency_sec@cap" + c, m.mean_latency_sec);
-    report.metric("i_miss_per_msg@cap" + c, m.i_misses_per_msg);
-    report.metric("d_miss_per_msg@cap" + c, m.d_misses_per_msg);
+    report.metric("mean_latency_sec@cap" + c, m.mean_latency);
+    report.metric("i_miss_per_msg@cap" + c, m.i_miss_per_msg);
+    report.metric("d_miss_per_msg@cap" + c, m.d_miss_per_msg);
   }
   report.write();
   std::printf(

@@ -27,30 +27,31 @@ int main(int argc, char** argv) {
   std::printf("%7s | %22s | %22s | %8s\n", "KB", "conv lat / I-miss",
               "LDLP lat / I-miss", "speedup");
   for (const std::uint32_t kb : {4u, 8u, 16u, 32u, 64u}) {
-    synth::SynthConfig conv;
+    synth::Stack conv;
     conv.mode = synth::SynthMode::kConventional;
-    conv.cpu.memory.icache.size_bytes = kb * 1024;
-    conv.cpu.memory.dcache.size_bytes = kb * 1024;
-    synth::SynthConfig ldlp = conv;
+    synth::Stack ldlp = conv;
     ldlp.mode = synth::SynthMode::kLdlp;
+    sim::Machine machine;
+    machine.memory.icache.size_bytes = kb * 1024;
+    machine.memory.dcache.size_bytes = kb * 1024;
 
-    const auto pc = synth::sweep_poisson_rates(conv, {rate}, opt);
-    const auto pl = synth::sweep_poisson_rates(ldlp, {rate}, opt);
+    const auto pc = synth::sweep_poisson_rates(conv, {rate}, opt, machine);
+    const auto pl = synth::sweep_poisson_rates(ldlp, {rate}, opt, machine);
     const auto& c = pc.front().mean;
     const auto& l = pl.front().mean;
     std::printf("%7u | %11s / %7.1f | %11s / %7.1f | %7.2fx\n", kb,
-                benchutil::fmt_latency(c.mean_latency_sec).c_str(),
-                c.i_misses_per_msg,
-                benchutil::fmt_latency(l.mean_latency_sec).c_str(),
-                l.i_misses_per_msg,
-                l.mean_latency_sec > 0.0
-                    ? c.mean_latency_sec / l.mean_latency_sec
+                benchutil::fmt_latency(c.mean_latency).c_str(),
+                c.i_miss_per_msg,
+                benchutil::fmt_latency(l.mean_latency).c_str(),
+                l.i_miss_per_msg,
+                l.mean_latency > 0.0
+                    ? c.mean_latency / l.mean_latency
                     : 0.0);
     const std::string k = std::to_string(kb);
-    report.metric("conv.mean_latency_sec@" + k + "kb", c.mean_latency_sec);
-    report.metric("conv.i_miss_per_msg@" + k + "kb", c.i_misses_per_msg);
-    report.metric("ldlp.mean_latency_sec@" + k + "kb", l.mean_latency_sec);
-    report.metric("ldlp.i_miss_per_msg@" + k + "kb", l.i_misses_per_msg);
+    report.metric("conv.mean_latency_sec@" + k + "kb", c.mean_latency);
+    report.metric("conv.i_miss_per_msg@" + k + "kb", c.i_miss_per_msg);
+    report.metric("ldlp.mean_latency_sec@" + k + "kb", l.mean_latency);
+    report.metric("ldlp.i_miss_per_msg@" + k + "kb", l.i_miss_per_msg);
   }
   report.write();
   std::printf(

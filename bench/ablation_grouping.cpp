@@ -33,14 +33,18 @@ int main(int argc, char** argv) {
   report.config_u64("seed", opt.seed);
   report.config("rate", std::to_string(rate));
 
-  auto config_for = [&](std::uint32_t kb, std::uint32_t group) {
-    synth::SynthConfig cfg;
+  auto config_for = [&](std::uint32_t group) {
+    synth::Stack cfg;
     cfg.mode = synth::SynthMode::kLdlp;
-    cfg.cpu.memory.icache.size_bytes = kb * 1024;
-    cfg.cpu.memory.icache.ways = 4;
-    cfg.cpu.memory.dcache.ways = 4;
     cfg.layers_per_group = group;
     return cfg;
+  };
+  auto machine_for = [&](std::uint32_t kb) {
+    sim::Machine machine;
+    machine.memory.icache.size_bytes = kb * 1024;
+    machine.memory.icache.ways = 4;
+    machine.memory.dcache.ways = 4;
+    return machine;
   };
 
   benchutil::heading(
@@ -54,27 +58,28 @@ int main(int argc, char** argv) {
 
   for (const std::uint32_t kb : {8u, 16u, 32u, 64u}) {
     std::printf("%8uK |", kb);
+    const sim::Machine machine = machine_for(kb);
     for (std::uint32_t group = 1; group <= 5; ++group) {
       const auto points =
-          synth::sweep_poisson_rates(config_for(kb, group), {rate}, opt);
+          synth::sweep_poisson_rates(config_for(group), {rate}, opt, machine);
       std::printf(" %10s",
-                  benchutil::fmt_latency(points.front().mean.mean_latency_sec)
+                  benchutil::fmt_latency(points.front().mean.mean_latency)
                       .c_str());
       report.metric("mean_latency_sec@" + std::to_string(kb) + "kb.group" +
                         std::to_string(group),
-                    points.front().mean.mean_latency_sec);
+                    points.front().mean.mean_latency);
     }
     // The automatic §6 plan for this cache size.
-    const auto cfg = config_for(kb, 0);
-    synth::SynthStack probe(cfg);
-    const auto points = synth::sweep_poisson_rates(cfg, {rate}, opt);
+    const auto cfg = config_for(0);
+    const auto plan = synth::groups(cfg, machine.memory.icache);
+    const auto points = synth::sweep_poisson_rates(cfg, {rate}, opt, machine);
     report.metric("mean_latency_sec@" + std::to_string(kb) + "kb.auto",
-                  points.front().mean.mean_latency_sec);
+                  points.front().mean.mean_latency);
     std::printf(" | %9s (",
-                benchutil::fmt_latency(points.front().mean.mean_latency_sec)
+                benchutil::fmt_latency(points.front().mean.mean_latency)
                     .c_str());
-    for (std::size_t i = 0; i < probe.groups().size(); ++i)
-      std::printf("%s%u", i != 0 ? "+" : "", probe.groups()[i]);
+    for (std::size_t i = 0; i < plan.size(); ++i)
+      std::printf("%s%u", i != 0 ? "+" : "", plan[i]);
     std::printf(")\n");
   }
   std::printf(

@@ -56,12 +56,14 @@ int main(int argc, char** argv) {
       int m = 0;
       for (const auto mode :
            {synth::SynthMode::kConventional, synth::SynthMode::kLdlp}) {
-        synth::SynthConfig cfg;
+        synth::Stack cfg;
         cfg.mode = mode;
-        if (variant.l2) cfg.cpu.memory.l2 = sim::CacheConfig{512 * 1024, 32, 1};
-        cfg.cpu.memory.tlb_enabled = variant.tlb;
-        const auto points = synth::sweep_poisson_rates(cfg, {rate}, opt);
-        lat[m++] = points.front().mean.mean_latency_sec;
+        sim::Machine machine;
+        if (variant.l2) machine.memory.l2 = sim::CacheConfig{512 * 1024, 32, 1};
+        machine.memory.tlb_enabled = variant.tlb;
+        const auto points =
+            synth::sweep_poisson_rates(cfg, {rate}, opt, machine);
+        lat[m++] = points.front().mean.mean_latency;
       }
       const std::string key = std::string(variant_key[v]) + "@" +
                               std::to_string(static_cast<int>(rate));

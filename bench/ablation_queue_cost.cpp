@@ -23,29 +23,29 @@ int main(int argc, char** argv) {
   std::printf("%6s | %16s | %16s\n", "cost", "lat @1000 msg/s",
               "lat @8000 msg/s");
   for (const std::uint32_t cost : {0u, 20u, 40u, 80u, 160u}) {
-    synth::SynthConfig cfg;
+    synth::Stack cfg;
     cfg.mode = synth::SynthMode::kLdlp;
     cfg.queue_cost_cycles = cost;
     const auto points = synth::sweep_poisson_rates(cfg, {1000, 8000}, opt);
     std::printf("%6u | %16s | %16s\n", cost,
-                benchutil::fmt_latency(points[0].mean.mean_latency_sec).c_str(),
-                benchutil::fmt_latency(points[1].mean.mean_latency_sec).c_str());
+                benchutil::fmt_latency(points[0].mean.mean_latency).c_str(),
+                benchutil::fmt_latency(points[1].mean.mean_latency).c_str());
     const std::string c = std::to_string(cost);
     report.metric("ldlp.mean_latency_sec@1000.cost" + c,
-                  points[0].mean.mean_latency_sec);
+                  points[0].mean.mean_latency);
     report.metric("ldlp.mean_latency_sec@8000.cost" + c,
-                  points[1].mean.mean_latency_sec);
+                  points[1].mean.mean_latency);
   }
 
   // Reference: conventional at the same loads.
-  synth::SynthConfig conv;
+  synth::Stack conv;
   conv.mode = synth::SynthMode::kConventional;
   const auto pc = synth::sweep_poisson_rates(conv, {1000, 8000}, opt);
   std::printf("%6s | %16s | %16s  (conventional reference)\n", "-",
-              benchutil::fmt_latency(pc[0].mean.mean_latency_sec).c_str(),
-              benchutil::fmt_latency(pc[1].mean.mean_latency_sec).c_str());
-  report.metric("conv.mean_latency_sec@1000", pc[0].mean.mean_latency_sec);
-  report.metric("conv.mean_latency_sec@8000", pc[1].mean.mean_latency_sec);
+              benchutil::fmt_latency(pc[0].mean.mean_latency).c_str(),
+              benchutil::fmt_latency(pc[1].mean.mean_latency).c_str());
+  report.metric("conv.mean_latency_sec@1000", pc[0].mean.mean_latency);
+  report.metric("conv.mean_latency_sec@8000", pc[1].mean.mean_latency);
   report.write();
   return 0;
 }

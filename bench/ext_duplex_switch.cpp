@@ -23,12 +23,12 @@
 
 namespace {
 
-ldlp::synth::SynthConfig duplex_config(ldlp::synth::SynthMode mode) {
-  ldlp::synth::SynthConfig cfg;
+ldlp::synth::Stack duplex_config(ldlp::synth::SynthMode mode) {
+  ldlp::synth::Stack cfg;
   cfg.mode = mode;
   cfg.duplex = true;
   cfg.max_message_bytes = 256;  // signalling messages are ~100 bytes
-  cfg.typical_message_bytes = 100;
+  cfg.footprint.message_bytes = 100;
   return cfg;
 }
 
@@ -51,30 +51,29 @@ int main(int argc, char** argv) {
               "drop%", "LDLP mean", "drop%", "batch");
   std::vector<double> rates = {500, 1000, 1500, 2000, 3000, 4000, 6000, 8000};
   for (const double rate : rates) {
-    synth::RunResult results[2];
+    sim::Summary results[2];
     int slot = 0;
     for (const auto mode :
          {synth::SynthMode::kConventional, synth::SynthMode::kLdlp}) {
-      synth::SynthConfig cfg = duplex_config(mode);
+      synth::Stack cfg = duplex_config(mode);
       // Signalling messages: ~100 bytes.
       Rng master(opt.seed);
-      std::vector<synth::RunResult> runs;
+      std::vector<sim::Summary> runs;
       for (std::uint32_t r = 0; r < opt.runs; ++r) {
         cfg.layout_seed = master();
-        synth::SynthStack stack(cfg);
         traffic::PoissonSource source(
             rate, std::make_unique<traffic::FixedSize>(100), master());
-        runs.push_back(stack.run(source, 1.0));
+        runs.push_back(synth::run(cfg, source, 1.0));
       }
       results[slot++] = synth::average(runs);
     }
     std::printf("%9.0f | %11s %6.1f%% | %11s %6.1f%% | %6.2f\n", rate,
-                benchutil::fmt_latency(results[0].mean_latency_sec).c_str(),
+                benchutil::fmt_latency(results[0].mean_latency).c_str(),
                 results[0].offered != 0
                     ? 100.0 * static_cast<double>(results[0].dropped) /
                           static_cast<double>(results[0].offered)
                     : 0.0,
-                benchutil::fmt_latency(results[1].mean_latency_sec).c_str(),
+                benchutil::fmt_latency(results[1].mean_latency).c_str(),
                 results[1].offered != 0
                     ? 100.0 * static_cast<double>(results[1].dropped) /
                           static_cast<double>(results[1].offered)
@@ -82,9 +81,9 @@ int main(int argc, char** argv) {
                 results[1].mean_batch);
     const std::string r = std::to_string(static_cast<int>(rate));
     report.metric("conv.mean_latency_sec@" + r,
-                  results[0].mean_latency_sec);
+                  results[0].mean_latency);
     report.metric("ldlp.mean_latency_sec@" + r,
-                  results[1].mean_latency_sec);
+                  results[1].mean_latency);
     report.metric("ldlp.mean_batch@" + r, results[1].mean_batch);
   }
 
@@ -99,25 +98,25 @@ int main(int argc, char** argv) {
     int slot = 0;
     for (const auto mode :
          {synth::SynthMode::kConventional, synth::SynthMode::kLdlp}) {
-      synth::SynthConfig cfg = duplex_config(mode);
-      cfg.cpu.clock_hz = mhz * 1e6;
+      synth::Stack cfg = duplex_config(mode);
+      sim::Machine machine;
+      machine.clock_hz = mhz * 1e6;
       Rng master(opt.seed);
-      std::vector<synth::RunResult> runs;
+      std::vector<sim::Summary> runs;
       for (std::uint32_t r = 0; r < opt.runs; ++r) {
         cfg.layout_seed = master();
-        synth::SynthStack stack(cfg);
         traffic::PoissonSource source(
             20000.0, std::make_unique<traffic::FixedSize>(100), master());
-        runs.push_back(stack.run(source, 0.5));
+        runs.push_back(synth::run(cfg, source, 0.5, machine));
       }
       const auto mean = synth::average(runs);
-      const bool goal = mean.mean_latency_sec <= 100e-6 && mean.dropped == 0;
+      const bool goal = mean.mean_latency <= 100e-6 && mean.dropped == 0;
       report.metric(std::string(slot == 0 ? "conv" : "ldlp") +
                         ".goal_latency_sec@" +
                         std::to_string(static_cast<int>(mhz)) + "mhz",
-                    mean.mean_latency_sec);
+                    mean.mean_latency);
       cells[slot++] =
-          benchutil::fmt_latency(mean.mean_latency_sec) +
+          benchutil::fmt_latency(mean.mean_latency) +
           (goal ? "  OK" : "    ");
     }
     std::printf("%7.0f | %14s | %14s\n", mhz, cells[0].c_str(),

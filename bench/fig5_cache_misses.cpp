@@ -26,11 +26,11 @@ int main(int argc, char** argv) {
   std::vector<double> rates;
   for (double r = 1000; r <= 10000; r += 1000) rates.push_back(r);
 
-  synth::SynthConfig conv;
+  synth::Stack conv;
   conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ilp = conv;
+  synth::Stack ilp = conv;
   ilp.mode = synth::SynthMode::kIlp;
-  synth::SynthConfig ldlp = conv;
+  synth::Stack ldlp = conv;
   ldlp.mode = synth::SynthMode::kLdlp;
 
   const auto pc = synth::sweep_poisson_rates(conv, rates, opt);
@@ -49,17 +49,17 @@ int main(int argc, char** argv) {
               "batch");
   for (std::size_t i = 0; i < rates.size(); ++i) {
     std::printf("%9.0f | %9.1f %9.1f | %9.1f %9.1f | %9.1f %9.1f | %6.2f\n",
-                rates[i], pc[i].mean.i_misses_per_msg,
-                pc[i].mean.d_misses_per_msg, pi[i].mean.i_misses_per_msg,
-                pi[i].mean.d_misses_per_msg, pl[i].mean.i_misses_per_msg,
-                pl[i].mean.d_misses_per_msg, pl[i].mean.mean_batch);
+                rates[i], pc[i].mean.i_miss_per_msg,
+                pc[i].mean.d_miss_per_msg, pi[i].mean.i_miss_per_msg,
+                pi[i].mean.d_miss_per_msg, pl[i].mean.i_miss_per_msg,
+                pl[i].mean.d_miss_per_msg, pl[i].mean.mean_batch);
     const std::string rate = std::to_string(static_cast<int>(rates[i]));
-    report.metric("conv.i_miss@" + rate, pc[i].mean.i_misses_per_msg);
-    report.metric("conv.d_miss@" + rate, pc[i].mean.d_misses_per_msg);
-    report.metric("ilp.i_miss@" + rate, pi[i].mean.i_misses_per_msg);
-    report.metric("ilp.d_miss@" + rate, pi[i].mean.d_misses_per_msg);
-    report.metric("ldlp.i_miss@" + rate, pl[i].mean.i_misses_per_msg);
-    report.metric("ldlp.d_miss@" + rate, pl[i].mean.d_misses_per_msg);
+    report.metric("conv.i_miss@" + rate, pc[i].mean.i_miss_per_msg);
+    report.metric("conv.d_miss@" + rate, pc[i].mean.d_miss_per_msg);
+    report.metric("ilp.i_miss@" + rate, pi[i].mean.i_miss_per_msg);
+    report.metric("ilp.d_miss@" + rate, pi[i].mean.d_miss_per_msg);
+    report.metric("ldlp.i_miss@" + rate, pl[i].mean.i_miss_per_msg);
+    report.metric("ldlp.d_miss@" + rate, pl[i].mean.d_miss_per_msg);
     report.metric("ldlp.mean_batch@" + rate, pl[i].mean.mean_batch);
   }
   report.metric("ldlp.batch_limit",

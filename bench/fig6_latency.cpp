@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   std::vector<double> rates;
   for (double r = 500; r <= 10000; r += 500) rates.push_back(r);
 
-  synth::SynthConfig conv;
+  synth::Stack conv;
   conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ldlp = conv;
+  synth::Stack ldlp = conv;
   ldlp.mode = synth::SynthMode::kLdlp;
 
   const auto pc = synth::sweep_poisson_rates(conv, rates, opt);
@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
     const auto& c = pc[i].mean;
     const auto& l = pl[i].mean;
     std::printf("%9.0f | %11s %6.1f%% | %11s %6.1f%% | %6.2f\n", rates[i],
-                benchutil::fmt_latency(c.mean_latency_sec).c_str(),
+                benchutil::fmt_latency(c.mean_latency).c_str(),
                 c.offered != 0
                     ? 100.0 * static_cast<double>(c.dropped) /
                           static_cast<double>(c.offered)
                     : 0.0,
-                benchutil::fmt_latency(l.mean_latency_sec).c_str(),
+                benchutil::fmt_latency(l.mean_latency).c_str(),
                 l.offered != 0
                     ? 100.0 * static_cast<double>(l.dropped) /
                           static_cast<double>(l.offered)
@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
     const double l_drop = l.offered != 0 ? static_cast<double>(l.dropped) /
                                                static_cast<double>(l.offered)
                                          : 0.0;
-    report.metric("conv.mean_latency_sec@" + rate, c.mean_latency_sec);
+    report.metric("conv.mean_latency_sec@" + rate, c.mean_latency);
     report.metric("conv.drop_frac@" + rate, c_drop);
-    report.metric("ldlp.mean_latency_sec@" + rate, l.mean_latency_sec);
+    report.metric("ldlp.mean_latency_sec@" + rate, l.mean_latency);
     report.metric("ldlp.drop_frac@" + rate, l_drop);
     report.metric("ldlp.mean_batch@" + rate, l.mean_batch);
   }

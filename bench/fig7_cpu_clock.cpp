@@ -62,9 +62,9 @@ int main(int argc, char** argv) {
   std::vector<double> clocks;
   for (double mhz = 10; mhz <= 80; mhz += 10) clocks.push_back(mhz * 1e6);
 
-  synth::SynthConfig conv;
+  synth::Stack conv;
   conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ldlp = conv;
+  synth::Stack ldlp = conv;
   ldlp.mode = synth::SynthMode::kLdlp;
 
   const auto pc = synth::sweep_cpu_clock(conv, trace, clocks, opt);
@@ -85,20 +85,20 @@ int main(int argc, char** argv) {
     const auto& l = pl[i].mean;
     std::printf("%7.0f | %11s %6.1f%% | %11s %6.1f%% | %6.2f\n",
                 clocks[i] / 1e6,
-                benchutil::fmt_latency(c.mean_latency_sec).c_str(),
+                benchutil::fmt_latency(c.mean_latency).c_str(),
                 c.offered != 0
                     ? 100.0 * static_cast<double>(c.dropped) /
                           static_cast<double>(c.offered)
                     : 0.0,
-                benchutil::fmt_latency(l.mean_latency_sec).c_str(),
+                benchutil::fmt_latency(l.mean_latency).c_str(),
                 l.offered != 0
                     ? 100.0 * static_cast<double>(l.dropped) /
                           static_cast<double>(l.offered)
                     : 0.0,
                 l.mean_batch);
     const std::string mhz = std::to_string(static_cast<int>(clocks[i] / 1e6));
-    report.metric("conv.mean_latency_sec@" + mhz + "mhz", c.mean_latency_sec);
-    report.metric("ldlp.mean_latency_sec@" + mhz + "mhz", l.mean_latency_sec);
+    report.metric("conv.mean_latency_sec@" + mhz + "mhz", c.mean_latency);
+    report.metric("ldlp.mean_latency_sec@" + mhz + "mhz", l.mean_latency);
     report.metric("ldlp.mean_batch@" + mhz + "mhz", l.mean_batch);
   }
   report.metric("trace.arrivals", static_cast<double>(trace.size()));

@@ -32,6 +32,7 @@
 #include "bench_util.hpp"
 #include "par/worker_pool.hpp"
 #include "pipe/stage_engine.hpp"
+#include "sim/machine.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
 
@@ -65,15 +66,13 @@ int main(int argc, char** argv) {
     traces[li] = traffic::generate_self_similar_trace(tc, *sizes, seed + li);
   }
 
-  std::vector<pipe::StageEngineResult> results(3 * loads.size());
+  std::vector<sim::Summary> results(3 * loads.size());
   par::WorkerPool pool(static_cast<std::size_t>(jobs));
   pool.run(results.size(), [&](std::size_t cell, par::WorkerContext&) {
     const std::size_t mi = cell / loads.size();
     const std::size_t li = cell % loads.size();
-    pipe::StageEngineConfig cfg;
-    cfg.mode = modes[mi];
-    cfg.batch_limit = static_cast<std::uint32_t>(batch);
-    results[cell] = pipe::StageEngine(cfg).run(traces[li]);
+    results[cell] = pipe::machine(modes[mi], static_cast<std::uint32_t>(batch))
+                        .run(pipe::arrivals(traces[li]));
   });
 
   for (std::size_t mi = 0; mi < 3; ++mi) {
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
                 "i/msg", "d/msg", "batch", "p50 lat", "p99 lat", "mean lat",
                 "drop%");
     for (std::size_t li = 0; li < loads.size(); ++li) {
-      const pipe::StageEngineResult& r = results[mi * loads.size() + li];
+      const sim::Summary& r = results[mi * loads.size() + li];
       const double drop_pct =
           r.offered != 0
               ? 100.0 * static_cast<double>(r.dropped) /
@@ -92,17 +91,17 @@ int main(int argc, char** argv) {
               : 0.0;
       std::printf("%8.0f | %7.2f %7.2f | %6.2f | %11s %11s %11s | %5.2f%%\n",
                   loads[li], r.i_miss_per_msg, r.d_miss_per_msg, r.mean_batch,
-                  benchutil::fmt_latency(r.p50_latency_sec).c_str(),
-                  benchutil::fmt_latency(r.p99_latency_sec).c_str(),
-                  benchutil::fmt_latency(r.mean_latency_sec).c_str(),
+                  benchutil::fmt_latency(r.p50_latency).c_str(),
+                  benchutil::fmt_latency(r.p99_latency).c_str(),
+                  benchutil::fmt_latency(r.mean_latency).c_str(),
                   drop_pct);
       const std::string key =
           std::string(mode) + "@" + std::to_string(
                                         static_cast<std::uint64_t>(loads[li]));
       report.metric("i_miss_per_msg." + key, r.i_miss_per_msg);
       report.metric("d_miss_per_msg." + key, r.d_miss_per_msg);
-      report.metric("p50_latency_sec." + key, r.p50_latency_sec);
-      report.metric("p99_latency_sec." + key, r.p99_latency_sec);
+      report.metric("p50_latency_sec." + key, r.p50_latency);
+      report.metric("p99_latency_sec." + key, r.p99_latency);
       report.metric("mean_batch." + key, r.mean_batch);
       report.metric("drop_frac." + key, drop_pct / 100.0);
     }
@@ -111,12 +110,12 @@ int main(int argc, char** argv) {
   // Per-stage attribution at the middle load, pipelined mode: where the
   // misses live when every stage has its own cache pair.
   {
-    const pipe::StageEngineResult& r = results[1 * loads.size() + 1];
+    const sim::Summary& r = results[1 * loads.size() + 1];
     benchutil::heading("Per-stage attribution (pipelined, middle load)");
     std::printf("%8s | %9s %9s | %10s %11s\n", "stage", "i-miss", "d-miss",
                 "msgs", "busy cyc");
     for (std::size_t s = 0; s < pipe::kStageCount; ++s) {
-      const pipe::StageBreakdown& sb = r.stages[s];
+      const sim::Load& sb = r.scopes[s];
       std::printf("%8s | %9llu %9llu | %10llu %11llu\n",
                   pipe::stage_name(static_cast<pipe::Stage>(s)),
                   static_cast<unsigned long long>(sb.i_misses),

@@ -34,6 +34,7 @@
 #include "recover/partition_heal.hpp"
 #include "rpc/fanout.hpp"
 #include "sim/cpu_model.hpp"
+#include "sim/machine.hpp"
 #include "stack/rx_path_trace.hpp"
 #include "synth/sweep.hpp"
 #include "time/timer_wheel.hpp"
@@ -136,9 +137,9 @@ inline obs::BenchResult gate_synth() {
   opt.seed = 0x5eed;
   const std::vector<double> rates = {3000.0, 8000.0};
 
-  synth::SynthConfig conv;
+  synth::Stack conv;
   conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ldlp = conv;
+  synth::Stack ldlp = conv;
   ldlp.mode = synth::SynthMode::kLdlp;
   const auto pc = synth::sweep_poisson_rates(conv, rates, opt);
   const auto pl = synth::sweep_poisson_rates(ldlp, rates, opt);
@@ -147,12 +148,12 @@ inline obs::BenchResult gate_synth() {
     const std::string rate = std::to_string(static_cast<int>(rates[i]));
     const auto& c = pc[i].mean;
     const auto& l = pl[i].mean;
-    result.set_metric("conv.i_miss@" + rate, c.i_misses_per_msg);
-    result.set_metric("conv.d_miss@" + rate, c.d_misses_per_msg);
-    result.set_metric("conv.mean_latency_sec@" + rate, c.mean_latency_sec);
-    result.set_metric("ldlp.i_miss@" + rate, l.i_misses_per_msg);
-    result.set_metric("ldlp.d_miss@" + rate, l.d_misses_per_msg);
-    result.set_metric("ldlp.mean_latency_sec@" + rate, l.mean_latency_sec);
+    result.set_metric("conv.i_miss@" + rate, c.i_miss_per_msg);
+    result.set_metric("conv.d_miss@" + rate, c.d_miss_per_msg);
+    result.set_metric("conv.mean_latency_sec@" + rate, c.mean_latency);
+    result.set_metric("ldlp.i_miss@" + rate, l.i_miss_per_msg);
+    result.set_metric("ldlp.d_miss@" + rate, l.d_miss_per_msg);
+    result.set_metric("ldlp.mean_latency_sec@" + rate, l.mean_latency);
     result.set_metric("ldlp.mean_batch@" + rate, l.mean_batch);
   }
   result.set_metric("ldlp.batch_limit",
@@ -172,25 +173,26 @@ inline obs::BenchResult gate_shard_sweep() {
 
   double single_queue_i = 0.0;
   for (const std::uint32_t shards : {1u, 4u, 8u}) {
-    par::ShardEngineConfig cfg;
-    cfg.shards = shards;
-    cfg.flows = 64;
-    cfg.messages = 6000;
-    cfg.arrival_rate_hz = 16000.0;
-    cfg.coalesce_sec = 750e-6;
-    cfg.seed = 0x5eed;
-    const par::ShardEngineResult r = par::ShardEngine(cfg).run();
+    par::ShardedRx rx;
+    rx.shards = shards;
+    rx.flows = 64;
+    rx.messages = 6000;
+    rx.arrival_rate_hz = 16000.0;
+    rx.seed = 0x5eed;
+    sim::Machine machine;
+    machine.coalesce = 750e-6;
+    const sim::Summary r = par::run(rx, machine);
     std::uint64_t max_i = 0;
-    for (const par::ShardStats& s : r.shards)
+    for (const sim::Load& s : r.contexts)
       max_i = std::max<std::uint64_t>(max_i, s.i_misses);
     if (shards == 1) single_queue_i = static_cast<double>(max_i);
     const std::string key = "@" + std::to_string(shards);
     result.set_metric("i_miss_ratio" + key,
                       static_cast<double>(max_i) / single_queue_i);
     result.set_metric("i_miss_per_msg" + key, r.i_miss_per_msg);
-    result.set_metric("mean_latency_sec" + key, r.mean_latency_sec);
+    result.set_metric("mean_latency_sec" + key, r.mean_latency);
     result.set_metric("mean_batch" + key, r.mean_batch);
-    result.set_metric("max_shard_share" + key, r.max_shard_share);
+    result.set_metric("max_shard_share" + key, par::max_shard_share(r));
   }
   return result;
 }
@@ -480,17 +482,14 @@ inline obs::BenchResult gate_pipeline() {
 
   const pipe::RxMode modes[] = {pipe::RxMode::kLdlp, pipe::RxMode::kPipelined,
                                 pipe::RxMode::kHybrid};
-  pipe::StageEngineResult runs[3];
+  sim::Summary runs[3];
   for (std::size_t mi = 0; mi < 3; ++mi) {
-    pipe::StageEngineConfig cfg;
-    cfg.mode = modes[mi];
-    cfg.batch_limit = 8;
-    runs[mi] = pipe::StageEngine(cfg).run(trace);
+    runs[mi] = pipe::machine(modes[mi], 8).run(pipe::arrivals(trace));
     const std::string key = pipe::rx_mode_name(modes[mi]);
     result.set_metric("i_miss_per_msg." + key, runs[mi].i_miss_per_msg);
     result.set_metric("d_miss_per_msg." + key, runs[mi].d_miss_per_msg);
     result.set_metric("p99_latency_usec." + key,
-                      runs[mi].p99_latency_sec * 1e6);
+                      runs[mi].p99_latency * 1e6);
     result.set_metric("mean_batch." + key, runs[mi].mean_batch);
   }
   // The two-sided separation the figure's argument turns on.

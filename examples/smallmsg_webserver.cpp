@@ -116,13 +116,12 @@ int main() {
     int slot = 0;
     for (const auto mode :
          {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {
-      synth::SynthConfig cfg;
-      cfg.mode = synth::from_sched(mode);
-      cfg.layout_seed = 1234;
-      synth::SynthStack machine(cfg);
+      synth::Stack stack;
+      stack.mode = synth::from_sched(mode);
+      stack.layout_seed = 1234;
       traffic::PoissonSource source(
           rate, std::make_unique<traffic::FixedSize>(500), 99);
-      latency[slot++] = machine.run(source, 1.0).mean_latency_sec;
+      latency[slot++] = synth::run(stack, source, 1.0).mean_latency;
     }
     std::printf("  %9.0f | %10.2f ms | %10.2f ms\n", rate, latency[0] * 1e3,
                 latency[1] * 1e3);

@@ -18,171 +18,84 @@ constexpr std::uint64_t align_up(std::uint64_t n, std::uint64_t a) {
   return (n + a - 1) / a * a;
 }
 
-struct Arrival {
-  double cycles = 0.0;   ///< Arrival time in core cycles.
-  std::uint32_t slot = 0;  ///< Message buffer slot within the shard ring.
-};
-
 }  // namespace
 
-ShardEngineResult ShardEngine::run() const {
-  LDLP_ASSERT(cfg_.shards >= 1 && cfg_.flows >= 1);
-  LDLP_ASSERT(cfg_.arrival_rate_hz > 0.0 && cfg_.clock_hz > 0.0);
+sim::Summary run(const ShardedRx& rx, const sim::Machine& base) {
+  LDLP_ASSERT(rx.shards >= 1 && rx.flows >= 1 && rx.arrival_rate_hz > 0.0);
+  const core::StackFootprint& fp = rx.stack;
 
-  const core::ShardPlan plan =
-      core::plan_shards(cfg_.stack, cfg_.memory.icache, cfg_.memory.dcache,
-                        cfg_.shards);
-  const std::uint32_t batch_limit =
-      cfg_.batch_limit != 0 ? cfg_.batch_limit : plan.batch_limit;
+  // Shards are independent machines with private L1s and private queues;
+  // the machine counts in cycles of the shard core clock.
+  const double cycles_per_sec = base.clock_hz;
+  sim::Machine m = base;
+  m.clock_hz = 1.0;
+  m.coalesce = base.coalesce * cycles_per_sec;
+  if (m.batch_limit == 0)
+    m.batch_limit = core::plan_shards(fp, m.memory.icache, m.memory.dcache,
+                                      rx.shards)
+                        .batch_limit;
+
+  // Layer code is shared text; layer/flow data is per shard.
+  const std::uint64_t code_stride = align_up(fp.layer_code_bytes, 64);
+  const std::uint64_t data_stride =
+      align_up(std::max<std::uint64_t>(fp.layer_data_bytes, 1), 64);
+  const std::uint64_t msg_stride =
+      align_up(std::max<std::uint64_t>(fp.message_bytes, 1), 64);
+  sim::Station station;
+  station.replicas = rx.shards;
+  station.replica_stride = std::uint64_t{fp.num_layers} * data_stride;
+  for (std::uint32_t layer = 0; layer < fp.num_layers; ++layer) {
+    // One layer at a time across the whole batch (section 3.1).
+    station.groups.push_back({sim::Step{
+        sim::MemorySystem::kNoScope, kCodeBase + layer * code_stride,
+        fp.layer_code_bytes, kDataBase + layer * data_stride,
+        fp.layer_data_bytes, ~std::uint32_t{0}, rx.layer_cycles, 0.0}});
+  }
 
   // Flow population: distinct client endpoints talking to one server —
   // the small-message server workload of section 4.
-  const stack::FlowHash hash(cfg_.symmetric);
-  std::vector<std::uint32_t> flow_shard(cfg_.flows);
-  for (std::uint32_t f = 0; f < cfg_.flows; ++f) {
-    stack::FlowKey key;
-    key.src_ip = 0x0a000000u + f + 1;          // 10.0.x.y clients
-    key.dst_ip = 0x0a00ffffu;                  // the server
-    key.src_port = static_cast<std::uint16_t>(10000 + f);
-    key.dst_port = 53;
-    key.proto = 17;
-    flow_shard[f] = hash(key) % cfg_.shards;
+  const stack::FlowHash hash(rx.symmetric);
+  std::vector<std::uint32_t> flow_shard(rx.flows);
+  for (std::uint32_t f = 0; f < rx.flows; ++f) {
+    // Client 10.0.x.y:10000+f to the server's port 53, over UDP.
+    const stack::FlowKey key{0x0a000000u + f + 1, 0x0a00ffffu,
+                             static_cast<std::uint16_t>(10000 + f), 53, 17};
+    flow_shard[f] = hash(key) % rx.shards;
   }
 
-  // Poisson arrivals over the flows; steer each to its flow's shard.
-  Rng rng(cfg_.seed);
-  const double cycles_per_sec = cfg_.clock_hz;
-  const double mean_gap_sec = 1.0 / cfg_.arrival_rate_hz;
-  std::vector<std::vector<Arrival>> queues(cfg_.shards);
+  // Poisson arrivals over the flows; steer each to its flow's shard, into
+  // the next slot of that shard's buffer ring.
+  Rng rng(rx.seed);
+  const double mean_gap_sec = 1.0 / rx.arrival_rate_hz;
+  const std::uint64_t slots = std::max<std::uint32_t>(m.batch_limit, 1);
+  std::vector<std::uint64_t> shard_arrivals(rx.shards);
+  std::vector<sim::Arrival> arrivals;
   double now_sec = 0.0;
-  for (std::uint64_t m = 0; m < cfg_.messages; ++m) {
+  for (std::uint64_t i = 0; i < rx.messages; ++i) {
     now_sec += rng.exponential(mean_gap_sec);
-    const auto flow =
-        static_cast<std::uint32_t>(rng.bounded(cfg_.flows));
-    queues[flow_shard[flow]].push_back(
-        Arrival{now_sec * cycles_per_sec, 0});
+    const std::uint32_t s =
+        flow_shard[static_cast<std::uint32_t>(rng.bounded(rx.flows))];
+    const std::uint64_t slot = shard_arrivals[s]++ % slots;
+    arrivals.push_back(sim::Arrival{now_sec * cycles_per_sec, fp.message_bytes,
+                                    kMsgBase + (s * slots + slot) * msg_stride});
+    station.steer.push_back(s);
   }
+  m.stations = {std::move(station)};
 
-  sim::MemorySystem mem(cfg_.memory);
-  mem.set_context_count(cfg_.shards);
-
-  const std::uint64_t code_stride =
-      align_up(cfg_.stack.layer_code_bytes, 64);
-  const std::uint64_t data_stride =
-      align_up(std::max<std::uint64_t>(cfg_.stack.layer_data_bytes, 1), 64);
-  const std::uint64_t msg_stride =
-      align_up(std::max<std::uint64_t>(cfg_.stack.message_bytes, 1), 64);
-  const std::uint32_t slots = std::max<std::uint32_t>(batch_limit, 1);
-
-  ShardEngineResult out;
-  out.batch_limit = batch_limit;
-  out.shards.resize(cfg_.shards);
-  std::vector<double> latencies_sec;
-  latencies_sec.reserve(cfg_.messages);
-  std::uint64_t total_batches = 0;
-
-  // Shards are independent machines (private L1s, private queues), so a
-  // shard-at-a-time walk over per-shard clocks is exact.
-  for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    mem.set_context(s);
-    auto& queue = queues[s];
-    for (std::size_t i = 0; i < queue.size(); ++i)
-      queue[i].slot = static_cast<std::uint32_t>(i % slots);
-
-    const std::uint64_t i0 = mem.icache_of(s).stats().misses;
-    const std::uint64_t d0 = mem.dcache_of(s).stats().misses;
-
-    double clock = 0.0;  // this shard core's cycle counter
-    std::uint64_t shard_batches = 0;
-    std::size_t next = 0;
-    const double coalesce_cycles = cfg_.coalesce_sec * cycles_per_sec;
-    while (next < queue.size()) {
-      if (clock < queue[next].cycles) clock = queue[next].cycles;
-      if (coalesce_cycles > 0.0) {
-        // Interrupt coalescing: hold off until the batch fills or the
-        // oldest message has waited out the window. With the window at 0
-        // this reduces to the pure-polling line above.
-        double open = queue[next].cycles + coalesce_cycles;
-        if (next + batch_limit - 1 < queue.size())
-          open = std::min(open, queue[next + batch_limit - 1].cycles);
-        if (clock < open) clock = open;
-      }
-      // LDLP batch formation: everything that has arrived, d-cache bound.
-      std::size_t end = next;
-      while (end < queue.size() && end - next < batch_limit &&
-             queue[end].cycles <= clock) {
-        ++end;
-      }
-      // One layer at a time across the whole batch (section 3.1): the
-      // layer's text is fetched once per pass and amortised over the
-      // batch; each message drags its buffer and the layer's data in.
-      std::uint64_t stall = 0;
-      for (std::uint32_t layer = 0; layer < cfg_.stack.num_layers; ++layer) {
-        const std::uint64_t code = kCodeBase + layer * code_stride;
-        const std::uint64_t data =
-            kDataBase + (std::uint64_t{s} * cfg_.stack.num_layers + layer) *
-                            data_stride;
-        for (std::size_t m = next; m < end; ++m) {
-          stall += mem.access(sim::Access::kIFetch, code,
-                              cfg_.stack.layer_code_bytes);
-          stall += mem.access(sim::Access::kRead, data,
-                              cfg_.stack.layer_data_bytes);
-          const std::uint64_t buf =
-              kMsgBase + (std::uint64_t{s} * slots + queue[m].slot) *
-                             msg_stride;
-          stall += mem.access(layer == 0 ? sim::Access::kWrite
-                                         : sim::Access::kRead,
-                              buf, cfg_.stack.message_bytes);
-        }
-      }
-      const std::uint64_t compute = std::uint64_t{cfg_.layer_cycles} *
-                                    cfg_.stack.num_layers * (end - next);
-      clock += static_cast<double>(compute + stall);
-      for (std::size_t m = next; m < end; ++m) {
-        latencies_sec.push_back((clock - queue[m].cycles) / cycles_per_sec);
-      }
-      ++shard_batches;
-      ++total_batches;
-      next = end;
-    }
-
-    ShardStats& stats = out.shards[s];
-    stats.messages = queue.size();
-    stats.batches = shard_batches;
-    stats.i_misses = mem.icache_of(s).stats().misses - i0;
-    stats.d_misses = mem.dcache_of(s).stats().misses - d0;
-    out.max_shard_messages =
-        std::max(out.max_shard_messages, stats.messages);
-  }
-  std::uint64_t total_i = 0;
-  std::uint64_t total_d = 0;
-  for (const ShardStats& s : out.shards) {
-    total_i += s.i_misses;
-    total_d += s.d_misses;
-  }
-  const double n = static_cast<double>(std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(latencies_sec.size())));
-  out.i_miss_per_msg = static_cast<double>(total_i) / n;
-  out.d_miss_per_msg = static_cast<double>(total_d) / n;
-  out.mean_batch = total_batches != 0
-                       ? n / static_cast<double>(total_batches)
-                       : 0.0;
-  double sum = 0.0;
-  for (const double l : latencies_sec) sum += l;
-  out.mean_latency_sec = sum / n;
-  std::sort(latencies_sec.begin(), latencies_sec.end());
-  if (!latencies_sec.empty()) {
-    const std::size_t at = std::min(
-        latencies_sec.size() - 1,
-        static_cast<std::size_t>(0.99 * static_cast<double>(
-                                            latencies_sec.size())));
-    out.p99_latency_sec = latencies_sec[at];
-  }
-  const double fair =
-      static_cast<double>(cfg_.messages) / cfg_.shards;
-  out.max_shard_share =
-      fair > 0.0 ? static_cast<double>(out.max_shard_messages) / fair : 1.0;
+  sim::Summary out = m.run(arrivals);
+  for (double* t : {&out.mean_latency, &out.p50_latency, &out.p99_latency,
+                    &out.max_latency, &out.end})
+    *t /= cycles_per_sec;
   return out;
+}
+
+double max_shard_share(const sim::Summary& summary) noexcept {
+  std::uint64_t busiest = 0;
+  for (const sim::Load& shard : summary.contexts)
+    busiest = std::max(busiest, shard.messages);
+  const double fair = static_cast<double>(summary.offered) /
+                      static_cast<double>(summary.contexts.size());
+  return fair > 0.0 ? static_cast<double>(busiest) / fair : 1.0;
 }
 
 }  // namespace ldlp::par

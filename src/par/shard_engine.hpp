@@ -1,84 +1,48 @@
-// ShardEngine: receive-side flow sharding on the simulated machine.
+// Receive-side flow sharding on the simulated machine.
 //
-// FlexTOE-style multi-queue receive meets the paper's LDLP batching: a
-// Toeplitz flow hash spreads flows over N shards, each shard owns a
-// private primary cache pair (sim::MemorySystem contexts) and drains its
-// queue in LDLP batches — one layer at a time across the whole batch, so
-// i-cache fills amortise within the shard while the shard's flow state
-// keeps its d-cache locality. The engine answers the sweep's question:
-// at equal total load, what happens to per-shard i-cache misses and to
-// queueing latency as the shard count grows from 1 (the paper's machine)
-// to 8?
+// FlexTOE-style multi-queue receive meets LDLP batching: a Toeplitz flow
+// hash spreads flows over N shards, each a core with a private primary
+// cache pair that drains its queue in LDLP batches. At equal total load,
+// what happens to per-shard i-cache misses and to queueing latency as the
+// shard count grows from 1 (the paper's machine) to 8?
 //
-// The model is deliberately the same one the fig5/fig6 benches trust:
-// every byte the stack touches goes through MemorySystem::access, layer
-// code is shared text, layer/flow data is per-shard, and message buffers
-// live in a per-shard slot ring sized by the batch limit. Everything is
-// a pure function of the config (seed included) — two runs agree bit for
-// bit, which is what lets the regression gate pin the numbers.
+// The engine is sim::Machine, one station replicated over the shards.
+// This file owns the layout: the flow-to-shard steering, layer code as
+// shared text, layer/flow data per shard, and message buffers in a
+// per-shard slot ring sized by the batch limit. A run is a pure function
+// of the workload and the machine, seed included.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/blocking.hpp"
-#include "sim/memory_system.hpp"
+#include "sim/machine.hpp"
 
 namespace ldlp::par {
 
-struct ShardEngineConfig {
+/// Poisson arrivals over `flows` client flows to one server, steered onto
+/// `shards` cores.
+struct ShardedRx {
   std::uint32_t shards = 1;
   std::uint32_t flows = 64;
   std::uint64_t messages = 20000;
   double arrival_rate_hz = 8000.0;  ///< Total offered load, all flows.
   core::StackFootprint stack{};     ///< Code/data/message footprints.
-  sim::MemoryConfig memory{};       ///< Primary geometry per shard context.
-  double clock_hz = 100e6;          ///< Shard core clock.
   std::uint32_t layer_cycles = 400; ///< Compute per layer per message.
   std::uint64_t seed = 1;
   bool symmetric = false;           ///< Symmetric (co-steering) flow hash.
-  std::uint32_t batch_limit = 0;    ///< 0 = core::plan_shards estimate.
-  /// Receive coalescing window (the NIC rx-usecs knob): an idle shard
-  /// opens its next batch when batch_limit messages are queued or the
-  /// oldest queued message has waited this long, whichever is first.
-  /// 0 = pure polling (a batch is whatever has arrived by now).
-  double coalesce_sec = 0.0;
 };
 
-struct ShardStats {
-  std::uint64_t messages = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t i_misses = 0;  ///< This shard's private i-cache misses.
-  std::uint64_t d_misses = 0;
-};
+/// Run the workload on `base`: its memory geometry per shard context and
+/// its clock, with batch_limit 0 meaning the core::plan_shards estimate
+/// and `coalesce` the receive coalescing window in seconds (0 = pure
+/// polling). The machine runs in cycles; latencies come back in seconds.
+/// contexts[s] is shard s.
+[[nodiscard]] sim::Summary run(const ShardedRx& rx,
+                               const sim::Machine& base = {});
 
-struct ShardEngineResult {
-  std::vector<ShardStats> shards;
-  std::uint32_t batch_limit = 0;      ///< The per-shard bound actually used.
-  double mean_latency_sec = 0.0;      ///< Arrival -> batch completion.
-  double p99_latency_sec = 0.0;
-  double mean_batch = 0.0;            ///< Messages per batch, all shards.
-  double i_miss_per_msg = 0.0;        ///< Aggregate, all shards.
-  double d_miss_per_msg = 0.0;
-  std::uint64_t max_shard_messages = 0;
-  /// Load-balance quality: busiest shard's share over the fair share
-  /// (1.0 = perfectly even).
-  double max_shard_share = 1.0;
-};
-
-class ShardEngine {
- public:
-  explicit ShardEngine(ShardEngineConfig cfg) : cfg_(cfg) {}
-
-  [[nodiscard]] const ShardEngineConfig& config() const noexcept {
-    return cfg_;
-  }
-
-  /// Run the full trace through the sharded receive path.
-  [[nodiscard]] ShardEngineResult run() const;
-
- private:
-  ShardEngineConfig cfg_;
-};
+/// Load-balance quality: the busiest shard's share of the messages over
+/// the fair share (1.0 = perfectly even).
+[[nodiscard]] double max_shard_share(const sim::Summary& summary) noexcept;
 
 }  // namespace ldlp::par

@@ -1,13 +1,10 @@
 #include "pipe/stage_engine.hpp"
 
-#include <algorithm>
-#include <deque>
-
 namespace ldlp::pipe {
 
 namespace {
 
-// Disjoint address planes, as in par::ShardEngine: stage code is shared
+// Disjoint address planes, as in the shard layout: stage code is shared
 // text, stage data is per-stage state, message buffers live in a slot
 // ring. The four code planes are 64 KB apart, so in a direct-mapped 8 KB
 // i-cache they all fold onto the same index range — a single LDLP core
@@ -22,236 +19,53 @@ constexpr std::uint64_t kMsgBase = 0x4000'0000;
 constexpr std::uint64_t kMsgSlotBytes = 2176;
 constexpr std::uint64_t kMsgSlots = 64;
 
-[[nodiscard]] std::uint64_t msg_addr(std::size_t msg) noexcept {
-  return kMsgBase + 2048 + (msg % kMsgSlots) * kMsgSlotBytes;
-}
+/// Figure 1's rx-path code folded into four stages — driver+eth glue into
+/// parse, the demux/hash into steer, ip+tcp input into proto, sbappend/
+/// sowakeup into socket. Each fits an 8 KB i-cache alone; the sum
+/// (16.5 KB) does not. Stage data is packed so the tables coexist in one
+/// 8 KB d-cache (1.3 KB); every stage reads the whole message and runs a
+/// 0.5 cycle/byte payload loop (checksum + copy).
+constexpr std::uint32_t kAll = ~std::uint32_t{0};
+constexpr sim::Step kStages[kStageCount] = {
+    // scope, code, code bytes, data, data bytes, touch, cycles, per byte
+    {0, kCodeBase, 3 * 1024, kDataBase, 160, kAll, 300, 0.5},  // parse
+    {1, kCodeBase + kCodePlane, 1536, kDataBase + 160, 256, kAll, 120,
+     0.5},  // steer
+    {2, kCodeBase + 2 * kCodePlane, 7 * 1024, kDataBase + 416, 640, kAll, 900,
+     0.5},  // proto
+    {3, kCodeBase + 3 * kCodePlane, 5 * 1024, kDataBase + 1056, 256, kAll,
+     420, 0.5},  // socket
+};
 
 }  // namespace
 
-std::array<StageModel, kStageCount> default_stage_models() {
-  // Figure 1's rx-path code folded into four stages: driver+eth glue into
-  // parse, the demux/hash into steer, ip+tcp input into proto, sbappend/
-  // sowakeup into socket. Each fits an 8 KB i-cache alone; the sum
-  // (16.5 KB) does not.
-  return {{
-      {3 * 1024, 160, 300},        // parse
-      {1536, 256, 120},            // steer
-      {7 * 1024, 640, 900},        // proto
-      {5 * 1024, 256, 420},        // socket
-  }};
+sim::Machine machine(RxMode mode, std::uint32_t batch_limit) {
+  sim::Machine m;
+  m.activation_cycles = 250;
+  m.handoff_cycles = 40;
+  m.queue_limit = 512;
+  m.batch_limit = mode == RxMode::kPipelined ? 1 : batch_limit;
+  if (mode == RxMode::kLdlp) {
+    // One core: a wakeup per batch, then the stages as layer groups.
+    auto& stages = m.stations.emplace_back().groups;
+    for (const sim::Step& stage : kStages) stages.push_back({stage});
+  } else {
+    // An open tandem of four single-server stages, one core each.
+    for (const sim::Step& stage : kStages)
+      m.stations.emplace_back().groups = {{stage}};
+  }
+  return m;
 }
 
-StageEngineResult StageEngine::run(
-    std::span<const traffic::PacketArrival> trace) const {
-  StageEngineResult result;
-  result.offered = trace.size();
-  if (trace.empty()) return result;
-
-  sim::MemorySystem mem(cfg_.memory);
-  const bool staged = cfg_.mode != RxMode::kLdlp;
-  if (staged) mem.set_context_count(kStageCount);
-
-  // Pack stage data cumulatively so the per-stage tables coexist in one
-  // 8 KB d-cache without self-conflict (total ~1.3 KB).
-  std::array<std::uint64_t, kStageCount> data_addr{};
-  {
-    std::uint64_t off = 0;
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      data_addr[s] = kDataBase + off;
-      off += cfg_.stages[s].data_bytes;
-    }
-  }
-
-  // Serve one message at stage `s` on the current context; returns busy
-  // cycles (compute + stalls). The message buffer address is shared by
-  // every stage — the zero-copy pointer hand-off — so under kLdlp it hits
-  // the one d-cache across stages, while each staged context refetches it.
-  const auto serve_msg = [&](std::size_t s, std::size_t orig) {
-    const StageModel& sm = cfg_.stages[s];
-    std::uint64_t c = 0;
-    c += mem.access(sim::Access::kIFetch, kCodeBase + s * kCodePlane,
-                    sm.code_bytes);
-    if (sm.data_bytes != 0)
-      c += mem.access(sim::Access::kRead, data_addr[s], sm.data_bytes);
-    const std::uint32_t size = trace[orig].size_bytes;
-    c += mem.access(s == 0 ? sim::Access::kWrite : sim::Access::kRead,
-                    msg_addr(orig), size != 0 ? size : 1);
-    c += sm.fixed_cycles +
-         static_cast<std::uint64_t>(static_cast<double>(size) *
-                                    cfg_.cycles_per_byte) +
-         cfg_.queue_cost_cycles;
-    return c;
-  };
-
-  std::vector<double> latencies;
-  latencies.reserve(trace.size());
-  const double hz = cfg_.clock_hz;
-  double last_departure = 0.0;
-
-  if (!staged) {
-    // --- kLdlp: one core drains entry batches through all four stages.
-    std::deque<std::size_t> q;
-    std::size_t next = 0;
-    double clock = 0.0;
-    const std::size_t bl =
-        cfg_.batch_limit != 0 ? cfg_.batch_limit : SIZE_MAX;
-    const auto admit = [&](double upto) {
-      while (next < trace.size() && trace[next].time <= upto) {
-        if (q.size() >= cfg_.stage_queue_cap) {
-          ++result.stages[0].drops;
-          ++result.dropped;
-        } else {
-          q.push_back(next);
-        }
-        ++next;
-      }
-    };
-    std::vector<std::size_t> batch;
-    while (next < trace.size() || !q.empty()) {
-      if (q.empty()) {
-        clock = std::max(clock, trace[next].time);
-        admit(clock);
-        continue;
-      }
-      batch.clear();
-      while (!q.empty() && batch.size() < bl) {
-        batch.push_back(q.front());
-        q.pop_front();
-      }
-      // One core wakeup per batch; the stage-to-stage transitions are
-      // in-core procedure returns, not cross-core hand-offs.
-      std::uint64_t cycles = cfg_.activation_cycles;
-      result.stages[0].busy_cycles += cfg_.activation_cycles;
-      for (std::size_t s = 0; s < kStageCount; ++s) {
-        mem.set_scope(static_cast<std::uint32_t>(s));
-        ++result.stages[s].activations;
-        for (const std::size_t m : batch) {
-          const std::uint64_t c = serve_msg(s, m);
-          result.stages[s].busy_cycles += c;
-          ++result.stages[s].messages;
-          cycles += c;
-        }
-      }
-      const double end = clock + static_cast<double>(cycles) / hz;
-      admit(end);  // arrivals during service see the growing backlog
-      clock = end;
-      for (const std::size_t m : batch) {
-        latencies.push_back(end - trace[m].time);
-        ++result.completed;
-      }
-      last_departure = end;
-    }
-  } else {
-    // --- kPipelined / kHybrid: open tandem of four single-server stages,
-    // evaluated stage at a time (exact: stage s depends only on stage
-    // s-1's monotone departure sequence; full queues drop, never block).
-    std::vector<double> in_time(trace.size());
-    std::vector<std::size_t> in_idx(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      in_time[i] = trace[i].time;
-      in_idx[i] = i;
-    }
-    const std::size_t bl =
-        cfg_.mode == RxMode::kPipelined
-            ? 1
-            : (cfg_.batch_limit != 0 ? cfg_.batch_limit : SIZE_MAX);
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      mem.set_context(s);
-      mem.set_scope(static_cast<std::uint32_t>(s));
-      std::vector<double> out_time;
-      std::vector<std::size_t> out_idx;
-      out_time.reserve(in_time.size());
-      out_idx.reserve(in_time.size());
-      std::deque<std::size_t> q;  // positions into in_*
-      std::size_t next = 0;
-      double clock = 0.0;
-      const auto admit = [&](double upto) {
-        while (next < in_time.size() && in_time[next] <= upto) {
-          if (q.size() >= cfg_.stage_queue_cap) {
-            ++result.stages[s].drops;
-            ++result.dropped;
-          } else {
-            q.push_back(next);
-          }
-          ++next;
-        }
-      };
-      std::vector<std::size_t> batch;
-      while (next < in_time.size() || !q.empty()) {
-        if (q.empty()) {
-          clock = std::max(clock, in_time[next]);
-          admit(clock);
-          continue;
-        }
-        batch.clear();
-        while (!q.empty() && batch.size() < bl) {
-          batch.push_back(q.front());
-          q.pop_front();
-        }
-        std::uint64_t cycles = cfg_.activation_cycles;
-        result.stages[s].busy_cycles += cfg_.activation_cycles;
-        ++result.stages[s].activations;
-        for (const std::size_t pos : batch) {
-          const std::uint64_t c = serve_msg(s, in_idx[pos]);
-          result.stages[s].busy_cycles += c;
-          ++result.stages[s].messages;
-          cycles += c;
-        }
-        const double end = clock + static_cast<double>(cycles) / hz;
-        admit(end);
-        clock = end;
-        for (const std::size_t pos : batch) {
-          out_time.push_back(end);
-          out_idx.push_back(in_idx[pos]);
-        }
-      }
-      in_time = std::move(out_time);
-      in_idx = std::move(out_idx);
-    }
-    result.completed = in_time.size();
-    for (std::size_t i = 0; i < in_time.size(); ++i) {
-      latencies.push_back(in_time[i] - trace[in_idx[i]].time);
-      last_departure = std::max(last_departure, in_time[i]);
-    }
-  }
-
-  // Scope-attributed misses (summed over contexts by construction).
-  const auto& scopes = mem.scope_misses();
-  std::uint64_t i_total = 0;
-  std::uint64_t d_total = 0;
-  for (std::size_t s = 0; s < kStageCount && s < scopes.size(); ++s) {
-    result.stages[s].i_misses = scopes[s].i_misses;
-    result.stages[s].d_misses = scopes[s].d_misses;
-    i_total += scopes[s].i_misses;
-    d_total += scopes[s].d_misses;
-  }
-  if (result.completed != 0) {
-    const double msgs = static_cast<double>(result.completed);
-    result.i_miss_per_msg = static_cast<double>(i_total) / msgs;
-    result.d_miss_per_msg = static_cast<double>(d_total) / msgs;
-  }
-  std::uint64_t activations = 0;
-  std::uint64_t stage_msgs = 0;
-  for (const StageBreakdown& sb : result.stages) {
-    activations += sb.activations;
-    stage_msgs += sb.messages;
-  }
-  if (activations != 0)
-    result.mean_batch =
-        static_cast<double>(stage_msgs) / static_cast<double>(activations);
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    double sum = 0.0;
-    for (const double l : latencies) sum += l;
-    result.mean_latency_sec = sum / static_cast<double>(latencies.size());
-    result.p50_latency_sec = latencies[latencies.size() / 2];
-    result.p99_latency_sec =
-        latencies[std::min(latencies.size() - 1,
-                           static_cast<std::size_t>(
-                               static_cast<double>(latencies.size()) * 0.99))];
-  }
-  result.span_sec = last_departure - trace.front().time;
-  return result;
+std::vector<sim::Arrival> arrivals(
+    std::span<const traffic::PacketArrival> trace) {
+  std::vector<sim::Arrival> out;
+  out.reserve(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    out.push_back(sim::Arrival{
+        trace[i].time, trace[i].size_bytes,
+        kMsgBase + 2048 + (i % kMsgSlots) * kMsgSlotBytes});
+  return out;
 }
 
 }  // namespace ldlp::pipe

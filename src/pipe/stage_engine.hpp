@@ -1,112 +1,44 @@
-// StageEngine: the batching-vs-pipelining head-to-head on the simulated
-// machine (the paper's 8 KB direct-mapped primary caches, 20-cycle miss).
+// The batching-vs-pipelining head-to-head on the simulated machine (the
+// paper's 8 KB direct-mapped primary caches, 20-cycle miss): the staged
+// receive path of pipeline.hpp — parse -> steer -> proto -> socket — as a
+// sim::Machine under the three schedules.
 //
-// Models the staged receive path of pipeline.hpp — parse -> steer ->
-// proto -> socket — under the three schedules, with the cache geometry
-// doing the arguing:
+//  * kLdlp      — one core: one station whose four groups are the stages.
+//                 The stages' code (~16.5 KB) exceeds the 8 KB i-cache, so
+//                 every batch refetches it — once per *batch*, the paper's
+//                 amortisation — while the message stays in one d-cache.
+//  * kPipelined — a chain of four single-stage stations, one core and
+//                 cache context each, batch 1. Each stage's code stays
+//                 resident (i-miss ~0, FlexTOE's bet), but every message
+//                 is fetched into *four* d-caches and pays a per-message
+//                 activation and hand-off.
+//  * kHybrid    — the same chain, each stage draining an LDLP batch, so
+//                 activations amortise while code residency is kept.
 //
-//  * kLdlp      — one core, one cache context. Arrivals queue at entry;
-//                 the core drains batches (up to batch_limit) through all
-//                 four stages, one stage at a time over the whole batch.
-//                 The four stages' code (~16.5 KB) exceeds the 8 KB
-//                 i-cache, so every batch refetches it — once per *batch*,
-//                 which is the paper's amortisation. The message stays in
-//                 the single d-cache across all four stages.
-//  * kPipelined — four cores, one private cache context per stage (PR 6's
-//                 set_context_count), per-message hand-off. Each stage's
-//                 code fits its own 8 KB i-cache, so steady-state i-miss
-//                 is ~0 — FlexTOE's bet. The price: each message's buffer
-//                 is fetched into *four* d-caches, plus a per-message
-//                 stage activation and queue hand-off cost.
-//  * kHybrid    — four contexts, but each stage drains an LDLP batch, so
-//                 activation and hand-off costs amortise while the
-//                 per-stage i-cache residency is kept.
-//
-// Per-stage attribution uses MemorySystem::set_scope, so the per-stage
-// i/d split is available in every mode (including the single-context LDLP
-// core). Bounded stage queues drop deterministically when full. The whole
-// engine is a pure function of (config, trace): two runs agree bit for
-// bit, which is what lets gate_pipeline pin the separation.
+// Scope s is stage s, so Summary::scopes[s] is the per-stage breakdown in
+// every mode. Bounded stage queues drop deterministically when full.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "pipe/pipeline.hpp"
-#include "sim/memory_system.hpp"
+#include "sim/machine.hpp"
 #include "traffic/arrivals.hpp"
 
 namespace ldlp::pipe {
 
-/// Code/data/compute footprint of one stage. Defaults are anchored to the
-/// paper's Figure 1 layer sizes, folded into four stages such that each
-/// fits the 8 KB i-cache alone but the sum does not.
-struct StageModel {
-  std::uint32_t code_bytes = 0;
-  std::uint32_t data_bytes = 0;    ///< Per-stage state touched per message.
-  std::uint32_t fixed_cycles = 0;  ///< Compute per message (ex. byte loop).
-};
+/// The staged path under `mode`: 250-cycle stage activations (cross-core
+/// doorbell + schedule; kLdlp pays one per batch), the paper's 40-cycle
+/// queue hand-off per message per stage, 512-deep stage queues, and
+/// batches of `batch_limit` (0 = all queued; kPipelined always 1).
+[[nodiscard]] sim::Machine machine(RxMode mode,
+                                         std::uint32_t batch_limit = 16);
 
-[[nodiscard]] std::array<StageModel, kStageCount> default_stage_models();
-
-struct StageEngineConfig {
-  RxMode mode = RxMode::kLdlp;
-  std::array<StageModel, kStageCount> stages = default_stage_models();
-  /// Cycles to move one message across one stage boundary (enqueue +
-  /// dequeue on the bounded queue; the paper's §3.2 queue tax).
-  std::uint32_t queue_cost_cycles = 40;
-  /// Cycles to wake a stage for a burst (cross-core doorbell + schedule).
-  /// kPipelined pays it per message per stage; kLdlp once per batch;
-  /// kHybrid once per stage batch.
-  std::uint32_t activation_cycles = 250;
-  std::size_t stage_queue_cap = 512;
-  /// Batch bound for kLdlp entry / kHybrid stages (0 = all queued).
-  std::uint32_t batch_limit = 16;
-  /// Per-byte touch cost of the payload loop (checksum + copy).
-  double cycles_per_byte = 0.5;
-  sim::MemoryConfig memory{};  ///< Per-context primary geometry.
-  double clock_hz = 100e6;
-};
-
-struct StageBreakdown {
-  std::uint64_t messages = 0;
-  std::uint64_t activations = 0;
-  std::uint64_t i_misses = 0;  ///< Scope-attributed, summed over contexts.
-  std::uint64_t d_misses = 0;
-  std::uint64_t drops = 0;     ///< Refused at this stage's bounded queue.
-  std::uint64_t busy_cycles = 0;
-};
-
-struct StageEngineResult {
-  std::array<StageBreakdown, kStageCount> stages{};
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;  ///< Left the socket stage.
-  std::uint64_t dropped = 0;
-  double i_miss_per_msg = 0.0;  ///< All stages, per completed message.
-  double d_miss_per_msg = 0.0;
-  double mean_latency_sec = 0.0;  ///< Arrival -> socket departure.
-  double p50_latency_sec = 0.0;
-  double p99_latency_sec = 0.0;
-  double mean_batch = 0.0;  ///< Messages per stage activation.
-  double span_sec = 0.0;    ///< First arrival -> last departure.
-};
-
-class StageEngine {
- public:
-  explicit StageEngine(StageEngineConfig cfg) : cfg_(cfg) {}
-
-  [[nodiscard]] const StageEngineConfig& config() const noexcept {
-    return cfg_;
-  }
-
-  /// Run the arrival trace (time-sorted) through the staged path.
-  [[nodiscard]] StageEngineResult run(
-      std::span<const traffic::PacketArrival> trace) const;
-
- private:
-  StageEngineConfig cfg_;
-};
+/// The trace's messages in the shared buffer ring: every stage touches a
+/// message at one address — the zero-copy pointer hand-off.
+[[nodiscard]] std::vector<sim::Arrival> arrivals(
+    std::span<const traffic::PacketArrival> trace);
 
 }  // namespace ldlp::pipe

@@ -122,17 +122,16 @@ ServiceCost calibrate_service_cost(core::SchedMode mode,
     if (it != cache.end()) return it->second;
   }
 
-  synth::SynthConfig scfg;
-  scfg.mode = synth::from_sched(mode);
-  scfg.typical_message_bytes = static_cast<std::uint32_t>(message_bytes);
-  const auto busy_per_msg = [&scfg, message_bytes](double rate,
-                                                   double horizon) {
-    synth::SynthStack stack(scfg);
+  synth::Stack stack;
+  stack.mode = synth::from_sched(mode);
+  stack.footprint.message_bytes = static_cast<std::uint32_t>(message_bytes);
+  const sim::Machine machine;
+  const auto busy_per_msg = [&](double rate, double horizon) {
     traffic::DeterministicSource source(
         rate, static_cast<std::uint32_t>(message_bytes));
-    const synth::RunResult r = stack.run(source, horizon);
+    const sim::Summary r = synth::run(stack, source, horizon, machine);
     if (r.completed == 0) return 0.0;
-    return stack.cpu().seconds(stack.cpu().busy_cycles()) /
+    return static_cast<double>(r.busy_cycles) / machine.clock_hz /
            static_cast<double>(r.completed);
   };
   // Solo pacing: 1 ms gaps dwarf the per-message cost, so every message

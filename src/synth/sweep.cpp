@@ -1,27 +1,28 @@
 #include "synth/sweep.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "traffic/size_models.hpp"
 
 namespace ldlp::synth {
 
-RunResult average(const std::vector<RunResult>& results) {
-  RunResult mean;
+sim::Summary average(const std::vector<sim::Summary>& results) {
+  sim::Summary mean;
   if (results.empty()) return mean;
   const auto n = static_cast<double>(results.size());
-  for (const RunResult& r : results) {
+  for (const sim::Summary& r : results) {
     mean.offered += r.offered;
     mean.completed += r.completed;
     mean.dropped += r.dropped;
-    mean.mean_latency_sec += r.mean_latency_sec / n;
-    mean.p50_latency_sec += r.p50_latency_sec / n;
-    mean.p99_latency_sec += r.p99_latency_sec / n;
-    mean.max_latency_sec = std::max(mean.max_latency_sec, r.max_latency_sec);
-    mean.i_misses_per_msg += r.i_misses_per_msg / n;
-    mean.d_misses_per_msg += r.d_misses_per_msg / n;
+    mean.mean_latency += r.mean_latency / n;
+    mean.p50_latency += r.p50_latency / n;
+    mean.p99_latency += r.p99_latency / n;
+    mean.max_latency = std::max(mean.max_latency, r.max_latency);
+    mean.i_miss_per_msg += r.i_miss_per_msg / n;
+    mean.d_miss_per_msg += r.d_miss_per_msg / n;
     mean.mean_batch += r.mean_batch / n;
-    mean.busy_fraction += r.busy_fraction / n;
   }
   mean.offered /= results.size();
   mean.completed /= results.size();
@@ -30,23 +31,23 @@ RunResult average(const std::vector<RunResult>& results) {
   return mean;
 }
 
-std::vector<SweepPoint> sweep_poisson_rates(const SynthConfig& base,
+std::vector<SweepPoint> sweep_poisson_rates(const Stack& stack,
                                             const std::vector<double>& rates,
-                                            const SweepOptions& options) {
+                                            const SweepOptions& options,
+                                            const sim::Machine& base) {
   LDLP_ASSERT(options.runs > 0 && options.run_seconds > 0.0);
   std::vector<SweepPoint> points;
   points.reserve(rates.size());
   Rng master(options.seed);
   for (const double rate : rates) {
-    std::vector<RunResult> runs;
+    std::vector<sim::Summary> runs;
     runs.reserve(options.runs);
-    for (std::uint32_t run = 0; run < options.runs; ++run) {
-      SynthConfig cfg = base;
-      cfg.layout_seed = master();
-      SynthStack stack(cfg);
+    for (std::uint32_t run_index = 0; run_index < options.runs; ++run_index) {
+      Stack placed = stack;
+      placed.layout_seed = master();
       traffic::PoissonSource source(rate, traffic::internet552_sizes(),
                                     master());
-      runs.push_back(stack.run(source, options.run_seconds));
+      runs.push_back(run(placed, source, options.run_seconds, base));
     }
     points.push_back(SweepPoint{rate, average(runs)});
   }
@@ -54,22 +55,22 @@ std::vector<SweepPoint> sweep_poisson_rates(const SynthConfig& base,
 }
 
 std::vector<SweepPoint> sweep_cpu_clock(
-    const SynthConfig& base, const std::vector<traffic::PacketArrival>& trace,
+    const Stack& stack, const std::vector<traffic::PacketArrival>& trace,
     const std::vector<double>& clocks_hz, const SweepOptions& options) {
   LDLP_ASSERT(options.runs > 0 && !trace.empty());
   std::vector<SweepPoint> points;
   points.reserve(clocks_hz.size());
   Rng master(options.seed);
   for (const double clock : clocks_hz) {
-    std::vector<RunResult> runs;
+    std::vector<sim::Summary> runs;
     runs.reserve(options.runs);
-    for (std::uint32_t run = 0; run < options.runs; ++run) {
-      SynthConfig cfg = base;
-      cfg.cpu.clock_hz = clock;
-      cfg.layout_seed = master();
-      SynthStack stack(cfg);
+    for (std::uint32_t run_index = 0; run_index < options.runs; ++run_index) {
+      sim::Machine base;
+      base.clock_hz = clock;
+      Stack placed = stack;
+      placed.layout_seed = master();
       traffic::TraceReplaySource source(trace);
-      runs.push_back(stack.run(source, trace.back().time));
+      runs.push_back(run(placed, source, trace.back().time, base));
     }
     points.push_back(SweepPoint{clock, average(runs)});
   }

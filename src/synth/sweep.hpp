@@ -15,8 +15,8 @@
 namespace ldlp::synth {
 
 struct SweepPoint {
-  double x = 0.0;  ///< Arrival rate (msgs/sec) or CPU clock (Hz).
-  RunResult mean;  ///< Field-wise mean over runs.
+  double x = 0.0;     ///< Arrival rate (msgs/sec) or CPU clock (Hz).
+  sim::Summary mean;  ///< Field-wise mean over runs.
 };
 
 struct SweepOptions {
@@ -27,17 +27,18 @@ struct SweepOptions {
 
 /// Figures 5/6: Poisson arrivals of 552-byte messages, rate sweep.
 [[nodiscard]] std::vector<SweepPoint> sweep_poisson_rates(
-    const SynthConfig& base, const std::vector<double>& rates,
-    const SweepOptions& options);
+    const Stack& stack, const std::vector<double>& rates,
+    const SweepOptions& options, const sim::Machine& base = {});
 
 /// Figure 7: fixed arrival trace, CPU clock sweep. The trace is replayed
 /// identically at every clock speed; only service times change.
 [[nodiscard]] std::vector<SweepPoint> sweep_cpu_clock(
-    const SynthConfig& base, const std::vector<traffic::PacketArrival>& trace,
+    const Stack& stack, const std::vector<traffic::PacketArrival>& trace,
     const std::vector<double>& clocks_hz, const SweepOptions& options);
 
-/// Field-wise mean of several results (latency fields are averaged over
-/// runs; counts are summed then divided — i.e. also means).
-[[nodiscard]] RunResult average(const std::vector<RunResult>& results);
+/// Field-wise mean of the scalar results of several runs (latencies and
+/// ratios are averaged over runs; counts are summed then divided — i.e.
+/// also means; the maximum latency is the maximum).
+[[nodiscard]] sim::Summary average(const std::vector<sim::Summary>& results);
 
 }  // namespace ldlp::synth

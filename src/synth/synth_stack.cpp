@@ -1,8 +1,7 @@
 #include "synth/synth_stack.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -11,276 +10,111 @@
 
 namespace ldlp::synth {
 
-SynthStack::SynthStack(const SynthConfig& config)
-    : cfg_(config), cpu_(config.cpu) {
-  LDLP_ASSERT(cfg_.num_layers > 0 && cfg_.buffer_limit > 0);
-
-  if (cfg_.batch_limit != 0) {
-    batch_limit_ = cfg_.batch_limit;
-  } else if (cfg_.mode == SynthMode::kLdlp) {
-    const core::StackFootprint footprint{
-        cfg_.num_layers, cfg_.layer_code_bytes, cfg_.layer_data_bytes,
-        cfg_.typical_message_bytes};
-    batch_limit_ = core::estimate_blocking(footprint, cfg_.cpu.memory.icache,
-                                           cfg_.cpu.memory.dcache)
-                       .batch_limit;
-  } else {
-    batch_limit_ = 1;
+std::vector<std::uint32_t> groups(const Stack& stack,
+                                  const sim::CacheConfig& icache) {
+  const core::StackFootprint& fp = stack.footprint;
+  if (stack.layers_per_group == 0)
+    return core::plan_groups(
+        std::vector<std::uint32_t>(fp.num_layers, fp.layer_code_bytes),
+        icache.size_bytes);
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t remaining = fp.num_layers; remaining != 0;) {
+    const std::uint32_t take = std::min(stack.layers_per_group, remaining);
+    out.push_back(take);
+    remaining -= take;
   }
+  return out;
+}
 
-  // Layer grouping (section 6).
-  if (cfg_.layers_per_group == 0) {
-    groups_ = core::plan_groups(
-        std::vector<std::uint32_t>(cfg_.num_layers, cfg_.layer_code_bytes),
-        cfg_.cpu.memory.icache.size_bytes);
-  } else {
-    for (std::uint32_t remaining = cfg_.num_layers; remaining != 0;) {
-      const std::uint32_t take = std::min(cfg_.layers_per_group, remaining);
-      groups_.push_back(take);
-      remaining -= take;
-    }
+sim::Machine machine(const Stack& stack, sim::Machine base) {
+  const core::StackFootprint& fp = stack.footprint;
+  LDLP_ASSERT(fp.num_layers > 0 && stack.buffer_limit > 0);
+  const bool ldlp = stack.mode == SynthMode::kLdlp;
+  if (!ldlp) {
+    base.batch_limit = 1;
+  } else if (base.batch_limit == 0) {
+    base.batch_limit = core::estimate_blocking(fp, base.memory.icache,
+                                               base.memory.dcache)
+                           .batch_limit;
   }
+  base.handoff_cycles = ldlp ? stack.queue_cost_cycles : 0;
 
   // Random placement per run (paper: "100 runs, each with a different
-  // random placement in memory"). Code and data live in disjoint address
-  // spaces because the machine has split caches; each space is sized so
-  // random placement is easy but conflicts in the direct-mapped caches
-  // still occur with realistic probability.
-  Rng rng(cfg_.layout_seed);
+  // random placement in memory"), code and data in disjoint spaces sized
+  // so the direct-mapped caches still see realistic conflicts.
+  Rng rng(stack.layout_seed);
   sim::AddressSpace code_space(1ull << 24, 32);
   sim::AddressSpace data_space(1ull << 24, 32);
-  layer_code_.reserve(cfg_.num_layers);
-  layer_data_.reserve(cfg_.num_layers);
-  for (std::uint32_t i = 0; i < cfg_.num_layers; ++i) {
-    layer_code_.push_back(
-        code_space.allocate("L" + std::to_string(i) + ".text",
-                            cfg_.layer_code_bytes, rng));
-    layer_data_.push_back(
-        data_space.allocate("L" + std::to_string(i) + ".data",
-                            cfg_.layer_data_bytes, rng));
-    if (cfg_.duplex) {
-      layer_tx_code_.push_back(
-          code_space.allocate("L" + std::to_string(i) + ".tx_text",
-                              cfg_.layer_code_bytes, rng));
-    }
+  std::vector<std::uint64_t> rx_code, tx_code, data;
+  for (std::uint32_t i = 0; i < fp.num_layers; ++i) {
+    const std::string layer = "L" + std::to_string(i);
+    rx_code.push_back(
+        code_space.allocate(layer + ".text", fp.layer_code_bytes, rng).base);
+    data.push_back(
+        data_space.allocate(layer + ".data", fp.layer_data_bytes, rng).base);
+    if (stack.duplex)
+      tx_code.push_back(
+          code_space.allocate(layer + ".tx_text", fp.layer_code_bytes, rng)
+              .base);
   }
-  if (cfg_.duplex) {
-    app_code_ = code_space.allocate("app.text", cfg_.app_code_bytes, rng);
-  }
-  buffer_slots_.reserve(cfg_.buffer_limit);
-  free_slots_.reserve(cfg_.buffer_limit);
-  for (std::uint32_t i = 0; i < cfg_.buffer_limit; ++i) {
-    buffer_slots_.push_back(data_space.allocate(
-        "buf" + std::to_string(i), cfg_.max_message_bytes, rng));
-    free_slots_.push_back(cfg_.buffer_limit - 1 - i);
-  }
-}
+  const std::uint64_t app_code =
+      stack.duplex
+          ? code_space.allocate("app.text", stack.app_code_bytes, rng).base
+          : 0;
+  sim::Station station;
+  for (std::uint32_t i = 0; i < stack.buffer_limit; ++i)
+    station.buffers.push_back(
+        data_space
+            .allocate("buf" + std::to_string(i), stack.max_message_bytes, rng)
+            .base);
 
-void SynthStack::charge_app_message(const Pending& msg) {
-  cpu_.memory().set_scope(cfg_.num_layers);  // "app" scope, above the layers
-  cpu_.ifetch(app_code_.base, cfg_.app_code_bytes);
-  cpu_.read(buffer_slots_[msg.slot].base, std::min(msg.size, 128u));
-  cpu_.execute(cfg_.app_cycles_per_msg);
-}
-
-void SynthStack::charge_layer_message(std::uint32_t layer, const Pending& msg,
-                                      bool touch_message_data,
-                                      int direction) {
-  // Every instruction in the layer's working set executes at least once:
-  // fetch the whole code region through the I-cache.
-  cpu_.memory().set_scope(layer);
-  const sim::Region& code =
-      direction == 0 ? layer_code_[layer] : layer_tx_code_[layer];
-  cpu_.ifetch(code.base, cfg_.layer_code_bytes);
-  // The layer's private data.
-  cpu_.read(layer_data_[layer].base, cfg_.layer_data_bytes);
-  std::uint64_t cycles = cfg_.layer_fixed_cycles;
-  if (touch_message_data) {
-    // The data loop walks the message contents.
-    cpu_.read(buffer_slots_[msg.slot].base, msg.size);
-    cycles += static_cast<std::uint64_t>(
-        std::llround(cfg_.data_loop_cycles_per_byte * msg.size));
-  }
-  cpu_.execute(cycles);
-}
-
-std::uint64_t SynthStack::process_batch(const std::vector<Pending>& batch) {
-  const std::uint64_t start = cpu_.busy_cycles();
-  switch (cfg_.mode) {
-    case SynthMode::kConventional:
-      // Outer loop over messages, inner over layers (then, in duplex
-      // mode, the application and the transmit descent, still per
-      // message).
-      for (const Pending& msg : batch) {
-        for (std::uint32_t layer = 0; layer < cfg_.num_layers; ++layer)
-          charge_layer_message(layer, msg, /*touch_message_data=*/true);
-        if (cfg_.duplex) {
-          charge_app_message(msg);
-          for (std::uint32_t layer = cfg_.num_layers; layer-- > 0;)
-            charge_layer_message(layer, msg, /*touch_message_data=*/true,
-                                 /*direction=*/1);
-        }
-      }
-      break;
-    case SynthMode::kIlp:
-      // Integrated layer processing: per-layer data loops are fused, so
-      // the message contents are loaded (and their loop cycles charged)
-      // exactly once per direction; layer code behaves as conventionally.
-      for (const Pending& msg : batch) {
-        charge_layer_message(0, msg, /*touch_message_data=*/true);
-        for (std::uint32_t layer = 1; layer < cfg_.num_layers; ++layer)
-          charge_layer_message(layer, msg, /*touch_message_data=*/false);
-        if (cfg_.duplex) {
-          charge_app_message(msg);
-          charge_layer_message(cfg_.num_layers - 1, msg,
-                               /*touch_message_data=*/true, /*direction=*/1);
-          for (std::uint32_t layer = cfg_.num_layers - 1; layer-- > 0;)
-            charge_layer_message(layer, msg, /*touch_message_data=*/false,
-                                 /*direction=*/1);
-        }
-      }
-      break;
-    case SynthMode::kLdlp: {
-      // Blocked: outer loop over layer *groups*, inner over messages, the
-      // layers of a group running back-to-back per message. Queue
-      // hand-off cost is paid once per message per group boundary —
-      // grouping co-resident layers saves hand-offs (section 6).
-      std::uint32_t base = 0;
-      for (const std::uint32_t group : groups_) {
-        for (const Pending& msg : batch) {
-          for (std::uint32_t layer = base; layer < base + group; ++layer)
-            charge_layer_message(layer, msg, /*touch_message_data=*/true);
-          cpu_.execute(cfg_.queue_cost_cycles);
-        }
-        base += group;
-      }
-      if (cfg_.duplex) {
-        // Application pass over the whole batch, then the blocked
-        // transmit descent, top layer first.
-        for (const Pending& msg : batch) {
-          charge_app_message(msg);
-          cpu_.execute(cfg_.queue_cost_cycles);
-        }
-        for (std::uint32_t layer = cfg_.num_layers; layer-- > 0;) {
-          for (const Pending& msg : batch) {
-            charge_layer_message(layer, msg, /*touch_message_data=*/true,
-                                 /*direction=*/1);
-            cpu_.execute(cfg_.queue_cost_cycles);
-          }
-        }
-      }
-      break;
-    }
-  }
-  return cpu_.busy_cycles() - start;
-}
-
-RunResult SynthStack::run(traffic::ArrivalSource& source,
-                          eventsim::SimTime horizon) {
-  RunResult result;
-  result.batch_limit = batch_limit_;
-  eventsim::LatencyRecorder latency;
-
-  std::deque<Pending> queue;
-  std::vector<Pending> batch;
-  batch.reserve(batch_limit_);
-
-  const std::uint64_t misses_i0 = cpu_.memory().icache().stats().misses;
-  const std::uint64_t misses_d0 = cpu_.memory().dcache().stats().misses;
-  const std::uint64_t cycles0 = cpu_.busy_cycles();
-
-  std::uint64_t batches = 0;
-  eventsim::SimTime now = 0.0;
-  eventsim::SimTime server_free_at = 0.0;
-
-  auto admit = [&](const traffic::PacketArrival& arrival) {
-    ++result.offered;
-    if (free_slots_.empty() ||
-        queue.size() >= cfg_.buffer_limit) {
-      ++result.dropped;
-      latency.record_drop();
-      return;
-    }
-    Pending p;
-    p.arrival = arrival.time;
-    p.size = std::min(arrival.size_bytes, cfg_.max_message_bytes);
-    p.slot = free_slots_.back();
-    free_slots_.pop_back();
-    queue.push_back(p);
+  // The application reads the message header; a layer that skips the
+  // data loop (ILP fused it into another layer's) reads none of it.
+  const sim::Step app{fp.num_layers, app_code, stack.app_code_bytes, 0, 0,
+                      std::min(stack.max_message_bytes, 128u),
+                      stack.app_cycles_per_msg};
+  const auto layer = [&](std::uint32_t i, std::uint64_t code, bool loop) {
+    return sim::Step{i, code, fp.layer_code_bytes, data[i],
+                     fp.layer_data_bytes, loop ? stack.max_message_bytes : 0,
+                     stack.layer_fixed_cycles, stack.data_loop_cycles_per_byte};
   };
-
-  auto next_arrival = source.next();
-
-  for (;;) {
-    const bool server_busy = now < server_free_at;
-    if (server_busy) {
-      // Admit arrivals that land while the server works, then jump to the
-      // completion instant.
-      if (next_arrival.has_value() && next_arrival->time <= horizon &&
-          next_arrival->time <= server_free_at) {
-        now = next_arrival->time;
-        admit(*next_arrival);
-        next_arrival = source.next();
-        continue;
-      }
-      now = server_free_at;
-      // Completion: the batch in flight finishes now.
-      for (const Pending& msg : batch) {
-        latency.record_completion(msg.arrival, now);
-        free_slots_.push_back(msg.slot);
-      }
-      result.completed += batch.size();
-      batch.clear();
-      continue;
+  // Receive climb, then in duplex mode the application and the transmit
+  // descent, top layer first. ILP runs the fused data loop once per
+  // direction, in the first layer it enters.
+  const bool ilp = stack.mode == SynthMode::kIlp;
+  std::vector<sim::Step> steps;
+  for (std::uint32_t i = 0; i < fp.num_layers; ++i)
+    steps.push_back(layer(i, rx_code[i], !ilp || i == 0));
+  // LDLP blocks each receive group, the application and each transmit
+  // layer over the batch; the one-message schedules run one group.
+  std::vector<std::uint32_t> sizes =
+      ldlp ? groups(stack, base.memory.icache)
+           : std::vector<std::uint32_t>{fp.num_layers};
+  if (stack.duplex) {
+    steps.push_back(app);
+    for (std::uint32_t i = fp.num_layers; i-- > 0;)
+      steps.push_back(layer(i, tx_code[i], !ilp || i == fp.num_layers - 1));
+    if (ldlp) {
+      sizes.insert(sizes.end(), fp.num_layers + 1, 1);
+    } else {
+      sizes.back() += fp.num_layers + 1;
     }
-
-    if (!queue.empty()) {
-      // Take all available messages up to the blocking limit.
-      const std::size_t take =
-          cfg_.mode == SynthMode::kLdlp
-              ? std::min<std::size_t>(queue.size(), batch_limit_)
-              : 1;
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(queue.front());
-        queue.pop_front();
-      }
-      const std::uint64_t cycles = process_batch(batch);
-      ++batches;
-      server_free_at = now + cpu_.seconds(cycles);
-      continue;
-    }
-
-    // Idle and empty: advance to the next arrival, or finish.
-    if (next_arrival.has_value() && next_arrival->time <= horizon) {
-      now = std::max(now, next_arrival->time);
-      admit(*next_arrival);
-      next_arrival = source.next();
-      continue;
-    }
-    break;
   }
-
-  result.mean_latency_sec = latency.mean_latency();
-  result.p50_latency_sec = latency.p50_latency();
-  result.p99_latency_sec = latency.p99_latency();
-  result.max_latency_sec = latency.max_latency();
-  if (result.completed != 0) {
-    result.i_misses_per_msg =
-        static_cast<double>(cpu_.memory().icache().stats().misses - misses_i0) /
-        static_cast<double>(result.completed);
-    result.d_misses_per_msg =
-        static_cast<double>(cpu_.memory().dcache().stats().misses - misses_d0) /
-        static_cast<double>(result.completed);
-    result.mean_batch = batches != 0 ? static_cast<double>(result.completed) /
-                                           static_cast<double>(batches)
-                                     : 0.0;
+  auto step = steps.begin();
+  for (const std::uint32_t size : sizes) {
+    station.groups.emplace_back(step, step + size);
+    step += size;
   }
-  const double elapsed = std::max(now, horizon);
-  result.busy_fraction =
-      elapsed > 0.0
-          ? cpu_.seconds(cpu_.busy_cycles() - cycles0) / elapsed
-          : 0.0;
-  return result;
+  base.stations = {std::move(station)};
+  return base;
+}
+
+sim::Summary run(const Stack& stack, traffic::ArrivalSource& source,
+                 double horizon, const sim::Machine& base) {
+  std::vector<sim::Arrival> arrivals;
+  for (const traffic::PacketArrival& a : traffic::collect(source, horizon))
+    arrivals.push_back(sim::Arrival{a.time, a.size_bytes, 0});
+  return machine(stack, base).run(arrivals);
 }
 
 }  // namespace ldlp::synth

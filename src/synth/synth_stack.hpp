@@ -1,26 +1,20 @@
-// The paper's section 4 synthetic benchmark.
-//
-// A five-layer protocol stack runs on the simulated machine (sim::CpuModel)
-// and is driven by an arrival process. Each layer has 6 KB of code and 256
-// bytes of private data; processing one message through one layer executes
-// 1652 cycles of instructions (including a 40-instruction loop over the
-// message contents at 0.5 cycles/byte for the 552-byte reference message)
-// and touches the layer's whole code and data footprint plus the message
-// bytes. Every primary-cache miss stalls the CPU.
+// The paper's section 4 synthetic benchmark stack, laid out for
+// sim::Machine: five layers of 6 KB code and 256 B private data, each
+// executing 1652 cycles per message (a 1376-cycle fixed part plus a
+// 0.5 cycle/byte loop over the 552-byte reference message) on the paper's
+// 100 MHz machine with 8 KB direct-mapped split caches.
 //
 // Three schedules, the three columns of the paper's Figures 2 and 3:
-//   kConventional — each arriving message is carried through all layers
-//     before the next is started.
-//   kIlp — integrated layer processing: still one message at a time, but
-//     the per-layer data loops are fused so message bytes are loaded once
-//     for all layers instead of once per layer. (Layer *code* locality is
-//     unchanged — which is exactly the paper's point about why ILP does
-//     not help small-message protocols.)
-//   kLdlp — the server takes *all* currently queued messages (capped by
-//     the data-cache blocking estimate) and runs them layer by layer.
+// kConventional carries each message through all layers before starting
+// the next; kIlp does the same but fuses the per-layer data loops, so the
+// message is loaded once per direction while layer *code* locality is
+// unchanged (why ILP cannot help small messages); kLdlp takes every
+// queued message (capped by the data-cache blocking estimate) and runs
+// the batch layer by layer.
 //
-// Each construction randomises the placement of layer code, layer data and
-// message buffers in memory (AddressSpace), as the paper does per run.
+// What this file owns is the layout: each construction places layer code,
+// layer data and message buffers at random (AddressSpace), as the paper
+// does per run, and groups the layers.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +22,7 @@
 
 #include "core/blocking.hpp"
 #include "core/stack_graph.hpp"
-#include "eventsim/latency_recorder.hpp"
-#include "sim/address_space.hpp"
-#include "sim/cpu_model.hpp"
+#include "sim/machine.hpp"
 #include "traffic/arrivals.hpp"
 
 namespace ldlp::synth {
@@ -42,110 +34,51 @@ enum class SynthMode : std::uint8_t { kConventional, kIlp, kLdlp };
                                         : SynthMode::kConventional;
 }
 
-struct SynthConfig {
-  std::uint32_t num_layers = 5;
-  std::uint32_t layer_code_bytes = 6 * 1024;
-  std::uint32_t layer_data_bytes = 256;
-  /// Instruction-execution cycles per layer per message, excluding the
-  /// per-byte data loop: 1652 total for a 552-byte message at 0.5
-  /// cycles/byte implies a 1376-cycle fixed part.
-  std::uint32_t layer_fixed_cycles = 1376;
+struct Stack {
+  /// Layers, their code and data bytes, and the message size the blocking
+  /// estimate assumes (signalling stacks set ~100).
+  core::StackFootprint footprint{};
+  std::uint32_t layer_fixed_cycles = 1376;  ///< Per layer per message.
   double data_loop_cycles_per_byte = 0.5;
   /// LDLP queue handling: "enqueuing and dequeuing messages costs on the
   /// order of 40 instructions" (section 3.2), charged per message per
-  /// layer boundary crossed.
+  /// layer group crossed.
   std::uint32_t queue_cost_cycles = 40;
 
   SynthMode mode = SynthMode::kConventional;
-  /// 0 = derive from the D-cache via core::estimate_blocking.
-  std::uint32_t batch_limit = 0;
-  /// LDLP layer grouping (section 6): consecutive layers processed
-  /// back-to-back per message within a blocked pass. 1 = pure LDLP
-  /// (default); num_layers = conventional order inside one batch;
-  /// 0 = auto via core::plan_groups against the I-cache.
+  /// LDLP layer grouping (section 6): layers run back to back per message
+  /// within a blocked pass. 1 = pure LDLP; num_layers = conventional order
+  /// inside one batch; 0 = auto via core::plan_groups on the I-cache.
   std::uint32_t layers_per_group = 1;
 
-  /// Request/response mode — the transmit-side extension the paper leaves
-  /// unevaluated. Each message climbs the receive stack, is handled by an
-  /// application (a signalling switch answering a SETUP), and a response
-  /// descends a *distinct* transmit code path of the same per-layer size
-  /// (tcp_input vs tcp_output: different functions). Doubles the code
-  /// working set; under kLdlp both directions are blocked.
+  /// Request/response mode, the transmit side the paper leaves
+  /// unevaluated: each message climbs the stack, is answered by an
+  /// application, and the response descends a *distinct* transmit code
+  /// path of the same per-layer size (tcp_input vs tcp_output). Doubles
+  /// the code working set; under kLdlp both directions are blocked.
   bool duplex = false;
   std::uint32_t app_cycles_per_msg = 300;  ///< Application handling cost.
   std::uint32_t app_code_bytes = 2048;     ///< Application code footprint.
-  std::uint32_t buffer_limit = 500;  ///< Receive buffer (packets); then drop.
+  std::uint32_t buffer_limit = 500;  ///< Receive buffers (packets); then drop.
   std::uint32_t max_message_bytes = 2048;
-  /// Message size assumed by the blocking estimate (the paper's reference
-  /// 552-byte internet packet). Signalling configs set ~100.
-  std::uint32_t typical_message_bytes = 552;
-
-  sim::CpuConfig cpu{};  ///< Defaults: 100 MHz, 8 KB/32 B/DM I+D, 20-cycle miss.
   std::uint64_t layout_seed = 1;
 };
 
-struct RunResult {
-  std::uint64_t offered = 0;    ///< Arrivals seen (admitted + dropped).
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  double mean_latency_sec = 0.0;
-  double p50_latency_sec = 0.0;
-  double p99_latency_sec = 0.0;
-  double max_latency_sec = 0.0;
-  double i_misses_per_msg = 0.0;
-  double d_misses_per_msg = 0.0;
-  double mean_batch = 0.0;      ///< Achieved blocking factor.
-  double busy_fraction = 0.0;   ///< CPU utilisation over the horizon.
-  std::uint32_t batch_limit = 1;
-};
+/// Layer-group sizes in stack order (kLdlp's blocked passes).
+[[nodiscard]] std::vector<std::uint32_t> groups(const Stack& stack,
+                                                const sim::CacheConfig& icache);
 
-class SynthStack {
- public:
-  explicit SynthStack(const SynthConfig& config);
+/// Place the stack in memory and schedule it on `base`. batch_limit 0
+/// means the D-cache blocking estimate under kLdlp. Scope ids are layer
+/// ids; the application is scope num_layers.
+[[nodiscard]] sim::Machine machine(const Stack& stack,
+                                         sim::Machine base = {});
 
-  /// Drive the stack with `source` until `horizon` seconds of simulated
-  /// time, then let the server drain what it already accepted.
-  [[nodiscard]] RunResult run(traffic::ArrivalSource& source,
-                              eventsim::SimTime horizon);
-
-  [[nodiscard]] std::uint32_t batch_limit() const noexcept {
-    return batch_limit_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& groups() const noexcept {
-    return groups_;
-  }
-
-  /// The simulated machine, for observability: per-layer miss attribution
-  /// lives in cpu().memory().scope_misses() (scope == layer id; the
-  /// application pass in duplex mode uses scope == num_layers).
-  [[nodiscard]] const sim::CpuModel& cpu() const noexcept { return cpu_; }
-
- private:
-  struct Pending {
-    eventsim::SimTime arrival = 0.0;
-    std::uint32_t size = 0;
-    std::uint32_t slot = 0;
-  };
-
-  /// Charge one (layer, message) processing step to the machine.
-  /// `direction` 0 = receive code path, 1 = transmit code path.
-  void charge_layer_message(std::uint32_t layer, const Pending& msg,
-                            bool touch_message_data, int direction = 0);
-  void charge_app_message(const Pending& msg);
-
-  /// Process a batch; returns cycles consumed.
-  std::uint64_t process_batch(const std::vector<Pending>& batch);
-
-  SynthConfig cfg_;
-  sim::CpuModel cpu_;
-  std::uint32_t batch_limit_ = 1;
-  std::vector<std::uint32_t> groups_;  ///< Layer-group sizes, stack order.
-  std::vector<sim::Region> layer_code_;     ///< Receive-side code.
-  std::vector<sim::Region> layer_tx_code_;  ///< Transmit-side (duplex).
-  sim::Region app_code_{};
-  std::vector<sim::Region> layer_data_;
-  std::vector<sim::Region> buffer_slots_;
-  std::vector<std::uint32_t> free_slots_;
-};
+/// Drive the stack with `source` until `horizon` seconds of simulated
+/// time, then let the server drain what it already accepted.
+[[nodiscard]] sim::Summary run(const Stack& stack,
+                               traffic::ArrivalSource& source,
+                               double horizon,
+                               const sim::Machine& base = {});
 
 }  // namespace ldlp::synth

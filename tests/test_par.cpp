@@ -8,6 +8,7 @@
 
 #include "par/shard_engine.hpp"
 #include "par/worker_pool.hpp"
+#include "sim/machine.hpp"
 #include "stack/host.hpp"
 #include "stack/netdev.hpp"
 #include "wire/ethernet.hpp"
@@ -252,43 +253,43 @@ TEST(WorkerPool, PropagatesTheFirstException) {
       std::runtime_error);
 }
 
-TEST(ShardEngine, RunsAreBitIdentical) {
-  par::ShardEngineConfig cfg;
-  cfg.shards = 4;
-  cfg.messages = 2000;
-  const par::ShardEngineResult a = par::ShardEngine(cfg).run();
-  const par::ShardEngineResult b = par::ShardEngine(cfg).run();
-  EXPECT_EQ(a.mean_latency_sec, b.mean_latency_sec);
-  EXPECT_EQ(a.p99_latency_sec, b.p99_latency_sec);
+TEST(ShardedRx, RunsAreBitIdentical) {
+  par::ShardedRx rx;
+  rx.shards = 4;
+  rx.messages = 2000;
+  const sim::Summary a = par::run(rx);
+  const sim::Summary b = par::run(rx);
+  EXPECT_EQ(a.mean_latency, b.mean_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
   EXPECT_EQ(a.i_miss_per_msg, b.i_miss_per_msg);
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    EXPECT_EQ(a.shards[s].messages, b.shards[s].messages);
-    EXPECT_EQ(a.shards[s].i_misses, b.shards[s].i_misses);
+  ASSERT_EQ(a.contexts.size(), b.contexts.size());
+  for (std::size_t s = 0; s < a.contexts.size(); ++s) {
+    EXPECT_EQ(a.contexts[s].messages, b.contexts[s].messages);
+    EXPECT_EQ(a.contexts[s].i_misses, b.contexts[s].i_misses);
   }
 }
 
-TEST(ShardEngine, ConservesMessagesAcrossShards) {
-  par::ShardEngineConfig cfg;
-  cfg.shards = 8;
-  cfg.messages = 4000;
-  const par::ShardEngineResult r = par::ShardEngine(cfg).run();
+TEST(ShardedRx, ConservesMessagesAcrossShards) {
+  par::ShardedRx rx;
+  rx.shards = 8;
+  rx.messages = 4000;
+  const sim::Summary r = par::run(rx);
   std::uint64_t total = 0;
-  for (const par::ShardStats& s : r.shards) total += s.messages;
-  EXPECT_EQ(total, cfg.messages);
-  EXPECT_GE(r.max_shard_share, 1.0);
-  EXPECT_LT(r.max_shard_share, 2.0) << "Toeplitz skew out of bounds";
+  for (const sim::Load& s : r.contexts) total += s.messages;
+  EXPECT_EQ(total, rx.messages);
+  EXPECT_GE(par::max_shard_share(r), 1.0);
+  EXPECT_LT(par::max_shard_share(r), 2.0) << "Toeplitz skew out of bounds";
 }
 
-TEST(ShardEngine, CoalescingRefillsBatches) {
-  par::ShardEngineConfig poll;
-  poll.shards = 4;
-  poll.messages = 4000;
-  poll.arrival_rate_hz = 16000.0;
-  par::ShardEngineConfig coal = poll;
-  coal.coalesce_sec = 750e-6;
-  const par::ShardEngineResult p = par::ShardEngine(poll).run();
-  const par::ShardEngineResult c = par::ShardEngine(coal).run();
+TEST(ShardedRx, CoalescingRefillsBatches) {
+  par::ShardedRx rx;
+  rx.shards = 4;
+  rx.messages = 4000;
+  rx.arrival_rate_hz = 16000.0;
+  sim::Machine coalesced;
+  coalesced.coalesce = 750e-6;
+  const sim::Summary p = par::run(rx);
+  const sim::Summary c = par::run(rx, coalesced);
   EXPECT_GT(c.mean_batch, p.mean_batch);
   EXPECT_LT(c.i_miss_per_msg, p.i_miss_per_msg);
 }

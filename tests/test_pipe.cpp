@@ -28,6 +28,7 @@
 #include "par/worker_pool.hpp"
 #include "pipe/pipeline.hpp"
 #include "pipe/stage_engine.hpp"
+#include "sim/machine.hpp"
 #include "stack/host.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
@@ -312,7 +313,7 @@ TEST(Publish, PerStageCountersLandInTheRegistry) {
   EXPECT_EQ(registry.gauge("pipe.lanes").value(), 2.0);
 }
 
-// ---- StageEngine: the simulated three-way figure ----------------------
+// ---- The staged path on sim::Machine: the simulated three-way figure ---
 
 std::vector<traffic::PacketArrival> short_trace(double rate) {
   traffic::SelfSimilarConfig tc;
@@ -322,14 +323,11 @@ std::vector<traffic::PacketArrival> short_trace(double rate) {
   return traffic::generate_self_similar_trace(tc, *sizes, 0xf19);
 }
 
-pipe::StageEngineResult engine_run(pipe::RxMode mode, double rate) {
-  pipe::StageEngineConfig cfg;
-  cfg.mode = mode;
-  cfg.batch_limit = 8;
-  return pipe::StageEngine(cfg).run(short_trace(rate));
+sim::Summary engine_run(pipe::RxMode mode, double rate) {
+  return pipe::machine(mode, 8).run(pipe::arrivals(short_trace(rate)));
 }
 
-TEST(StageEngine, DeterministicAcrossRuns) {
+TEST(StagedMachine, DeterministicAcrossRuns) {
   const auto a = engine_run(pipe::RxMode::kHybrid, 15000.0);
   const auto b = engine_run(pipe::RxMode::kHybrid, 15000.0);
   EXPECT_EQ(a.offered, b.offered);
@@ -337,10 +335,10 @@ TEST(StageEngine, DeterministicAcrossRuns) {
   EXPECT_EQ(a.dropped, b.dropped);
   EXPECT_DOUBLE_EQ(a.i_miss_per_msg, b.i_miss_per_msg);
   EXPECT_DOUBLE_EQ(a.d_miss_per_msg, b.d_miss_per_msg);
-  EXPECT_DOUBLE_EQ(a.p99_latency_sec, b.p99_latency_sec);
+  EXPECT_DOUBLE_EQ(a.p99_latency, b.p99_latency);
 }
 
-TEST(StageEngine, ConservesMessages) {
+TEST(StagedMachine, ConservesMessages) {
   for (const pipe::RxMode mode :
        {pipe::RxMode::kLdlp, pipe::RxMode::kPipelined, pipe::RxMode::kHybrid}) {
     const auto r = engine_run(mode, 20000.0);
@@ -349,7 +347,7 @@ TEST(StageEngine, ConservesMessages) {
   }
 }
 
-TEST(StageEngine, TwoSidedCacheSeparation) {
+TEST(StagedMachine, TwoSidedCacheSeparation) {
   const auto ldlp = engine_run(pipe::RxMode::kLdlp, 15000.0);
   const auto piped = engine_run(pipe::RxMode::kPipelined, 15000.0);
   // LDLP refetches the four stage bodies every batch; the pipelined
@@ -362,13 +360,13 @@ TEST(StageEngine, TwoSidedCacheSeparation) {
   EXPECT_DOUBLE_EQ(piped.mean_batch, 1.0);
 }
 
-TEST(StageEngine, HybridAmortisesActivationsPastSaturation) {
+TEST(StagedMachine, HybridAmortisesActivationsPastSaturation) {
   // Past the pipeline's bottleneck stage, per-message activations are
   // what breaks the pipelined schedule; the hybrid batches them away.
   const auto piped = engine_run(pipe::RxMode::kPipelined, 48000.0);
   const auto hybrid = engine_run(pipe::RxMode::kHybrid, 48000.0);
   EXPECT_GT(hybrid.mean_batch, 1.5);
-  EXPECT_LT(hybrid.p99_latency_sec, piped.p99_latency_sec);
+  EXPECT_LT(hybrid.p99_latency, piped.p99_latency);
   EXPECT_LE(hybrid.dropped, piped.dropped);
 }
 

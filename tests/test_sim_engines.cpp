@@ -1,14 +1,15 @@
-// Characterisation golden for the simulated-machine engines: every result
-// field of the synthetic stack, the shard engine and the stage engine on a
-// fixed set of cases, written at full precision to
-// tests/golden/sim_engines.json. The file pins the engines bit for bit;
-// the benchmark gates only compare within 5 %.
+// Characterisation golden for sim::Machine: every result field of the
+// three stacks laid out on it — the synthetic stack, the flow-sharded
+// receive path and the staged receive path — on a fixed set of cases,
+// written at full precision to tests/golden/sim_engines.json. The file
+// pins the engine bit for bit; the benchmark gates only compare within 5 %.
 //
 // Regenerate after an intentional model change with
 //   LDLP_UPDATE_GOLDEN=1 ./build/tests/test_sim_engines
 // and commit the diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "obs/json.hpp"
 #include "par/shard_engine.hpp"
 #include "pipe/stage_engine.hpp"
+#include "sim/machine.hpp"
 #include "synth/synth_stack.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
@@ -33,22 +35,24 @@ using obs::Json;
 Json num(double v) { return Json(v); }
 Json count(std::uint64_t v) { return Json(v); }
 
-Json synth_case(const synth::SynthConfig& cfg, double rate) {
-  synth::SynthStack stack(cfg);
+Json synth_case(const synth::Stack& stack, double rate,
+                const sim::Machine& base = {}) {
   traffic::PoissonSource source(rate, traffic::internet552_sizes(), 42);
-  const synth::RunResult r = stack.run(source, 0.2);
+  const double horizon = 0.2;
+  const sim::Summary r = synth::run(stack, source, horizon, base);
   Json j = Json::object();
   j.set("offered", count(r.offered));
   j.set("completed", count(r.completed));
   j.set("dropped", count(r.dropped));
-  j.set("mean_latency_sec", num(r.mean_latency_sec));
-  j.set("p50_latency_sec", num(r.p50_latency_sec));
-  j.set("p99_latency_sec", num(r.p99_latency_sec));
-  j.set("max_latency_sec", num(r.max_latency_sec));
-  j.set("i_misses_per_msg", num(r.i_misses_per_msg));
-  j.set("d_misses_per_msg", num(r.d_misses_per_msg));
+  j.set("mean_latency_sec", num(r.mean_latency));
+  j.set("p50_latency_sec", num(r.p50_latency));
+  j.set("p99_latency_sec", num(r.p99_latency));
+  j.set("max_latency_sec", num(r.max_latency));
+  j.set("i_misses_per_msg", num(r.i_miss_per_msg));
+  j.set("d_misses_per_msg", num(r.d_miss_per_msg));
   j.set("mean_batch", num(r.mean_batch));
-  j.set("busy_fraction", num(r.busy_fraction));
+  j.set("busy_fraction", num(static_cast<double>(r.busy_cycles) /
+                             base.clock_hz / std::max(r.end, horizon)));
   j.set("batch_limit", count(r.batch_limit));
   return j;
 }
@@ -61,21 +65,22 @@ Json synth_cases() {
       {"ldlp", synth::SynthMode::kLdlp}};
   for (const auto& [name, mode] : modes) {
     for (const double rate : {3000.0, 8000.0}) {
-      synth::SynthConfig cfg;
-      cfg.mode = mode;
+      synth::Stack stack;
+      stack.mode = mode;
       out.set(std::string(name) + "@" + std::to_string(int(rate)),
-              synth_case(cfg, rate));
+              synth_case(stack, rate));
     }
   }
-  synth::SynthConfig duplex;
+  synth::Stack duplex;
   duplex.mode = synth::SynthMode::kLdlp;
   duplex.duplex = true;
   out.set("ldlp.duplex@3000", synth_case(duplex, 3000.0));
-  synth::SynthConfig grouped;
+  synth::Stack grouped;
   grouped.mode = synth::SynthMode::kLdlp;
   grouped.layers_per_group = 0;
-  grouped.cpu.memory.icache.size_bytes = 16 * 1024;
-  out.set("ldlp.auto_groups@8000", synth_case(grouped, 8000.0));
+  sim::Machine big_icache;
+  big_icache.memory.icache.size_bytes = 16 * 1024;
+  out.set("ldlp.auto_groups@8000", synth_case(grouped, 8000.0, big_icache));
   return out;
 }
 
@@ -83,32 +88,35 @@ Json shard_cases() {
   Json out = Json::object();
   for (const std::uint32_t shards : {1u, 4u}) {
     for (const double coalesce : {0.0, 750e-6}) {
-      par::ShardEngineConfig cfg;
-      cfg.shards = shards;
-      cfg.messages = 3000;
-      cfg.arrival_rate_hz = 16000.0;
-      cfg.symmetric = true;
-      cfg.coalesce_sec = coalesce;
-      const par::ShardEngineResult r = par::ShardEngine(cfg).run();
+      par::ShardedRx rx;
+      rx.shards = shards;
+      rx.messages = 3000;
+      rx.arrival_rate_hz = 16000.0;
+      rx.symmetric = true;
+      sim::Machine base;
+      base.coalesce = coalesce;
+      const sim::Summary r = par::run(rx, base);
       Json j = Json::object();
       Json per_shard = Json::array();
-      for (const par::ShardStats& s : r.shards) {
+      std::uint64_t max_shard_messages = 0;
+      for (const sim::Load& s : r.contexts) {
         Json js = Json::object();
         js.set("messages", count(s.messages));
         js.set("batches", count(s.batches));
         js.set("i_misses", count(s.i_misses));
         js.set("d_misses", count(s.d_misses));
         per_shard.push_back(std::move(js));
+        max_shard_messages = std::max(max_shard_messages, s.messages);
       }
       j.set("shards", std::move(per_shard));
       j.set("batch_limit", count(r.batch_limit));
-      j.set("mean_latency_sec", num(r.mean_latency_sec));
-      j.set("p99_latency_sec", num(r.p99_latency_sec));
+      j.set("mean_latency_sec", num(r.mean_latency));
+      j.set("p99_latency_sec", num(r.p99_latency));
       j.set("mean_batch", num(r.mean_batch));
       j.set("i_miss_per_msg", num(r.i_miss_per_msg));
       j.set("d_miss_per_msg", num(r.d_miss_per_msg));
-      j.set("max_shard_messages", count(r.max_shard_messages));
-      j.set("max_shard_share", num(r.max_shard_share));
+      j.set("max_shard_messages", count(max_shard_messages));
+      j.set("max_shard_share", num(par::max_shard_share(r)));
       out.set(std::string(coalesce == 0.0 ? "poll" : "coal") + "@" +
                   std::to_string(shards),
               std::move(j));
@@ -123,17 +131,15 @@ Json stage_case(pipe::RxMode mode, double rate, std::size_t queue_cap) {
   tc.duration_sec = 0.2;
   const auto sizes = traffic::internet552_sizes();
   const auto trace = traffic::generate_self_similar_trace(tc, *sizes, 0x51a6);
-  pipe::StageEngineConfig cfg;
-  cfg.mode = mode;
-  cfg.batch_limit = 8;
-  cfg.stage_queue_cap = queue_cap;
-  const pipe::StageEngineResult r = pipe::StageEngine(cfg).run(trace);
+  sim::Machine cfg = pipe::machine(mode, 8);
+  cfg.queue_limit = queue_cap;
+  const sim::Summary r = cfg.run(pipe::arrivals(trace));
   Json j = Json::object();
   Json stages = Json::array();
-  for (const pipe::StageBreakdown& s : r.stages) {
+  for (const sim::Load& s : r.scopes) {
     Json js = Json::object();
     js.set("messages", count(s.messages));
-    js.set("activations", count(s.activations));
+    js.set("activations", count(s.batches));
     js.set("i_misses", count(s.i_misses));
     js.set("d_misses", count(s.d_misses));
     js.set("drops", count(s.drops));
@@ -146,11 +152,11 @@ Json stage_case(pipe::RxMode mode, double rate, std::size_t queue_cap) {
   j.set("dropped", count(r.dropped));
   j.set("i_miss_per_msg", num(r.i_miss_per_msg));
   j.set("d_miss_per_msg", num(r.d_miss_per_msg));
-  j.set("mean_latency_sec", num(r.mean_latency_sec));
-  j.set("p50_latency_sec", num(r.p50_latency_sec));
-  j.set("p99_latency_sec", num(r.p99_latency_sec));
+  j.set("mean_latency_sec", num(r.mean_latency));
+  j.set("p50_latency_sec", num(r.p50_latency));
+  j.set("p99_latency_sec", num(r.p99_latency));
   j.set("mean_batch", num(r.mean_batch));
-  j.set("span_sec", num(r.span_sec));
+  j.set("span_sec", num(r.end - trace.front().time));
   return j;
 }
 

@@ -10,191 +10,190 @@
 namespace ldlp::synth {
 namespace {
 
-SynthConfig config_for(SynthMode mode) {
-  SynthConfig cfg;
+Stack config_for(SynthMode mode) {
+  Stack cfg;
   cfg.mode = mode;
   return cfg;
 }
 
-RunResult run_once(const SynthConfig& cfg, double rate, double seconds,
-                   std::uint64_t seed) {
-  SynthStack stack(cfg);
+sim::Summary run_once(const Stack& cfg, double rate, double seconds,
+                      std::uint64_t seed,
+                      const sim::Machine& machine = {}) {
   traffic::PoissonSource source(rate, traffic::internet552_sizes(), seed);
-  return stack.run(source, seconds);
+  return run(cfg, source, seconds, machine);
 }
 
-TEST(SynthStack, DeterministicForSeeds) {
-  const SynthConfig cfg = config_for(SynthMode::kLdlp);
-  const RunResult a = run_once(cfg, 5000, 0.5, 42);
-  const RunResult b = run_once(cfg, 5000, 0.5, 42);
+TEST(Synth, DeterministicForSeeds) {
+  const Stack cfg = config_for(SynthMode::kLdlp);
+  const sim::Summary a = run_once(cfg, 5000, 0.5, 42);
+  const sim::Summary b = run_once(cfg, 5000, 0.5, 42);
   EXPECT_EQ(a.completed, b.completed);
-  EXPECT_DOUBLE_EQ(a.mean_latency_sec, b.mean_latency_sec);
-  EXPECT_DOUBLE_EQ(a.i_misses_per_msg, b.i_misses_per_msg);
+  EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency);
+  EXPECT_DOUBLE_EQ(a.i_miss_per_msg, b.i_miss_per_msg);
 }
 
-TEST(SynthStack, MessagesConserved) {
+TEST(Synth, MessagesConserved) {
   for (const auto mode :
        {SynthMode::kConventional, SynthMode::kLdlp}) {
-    const RunResult r = run_once(config_for(mode), 6000, 0.5, 7);
+    const sim::Summary r = run_once(config_for(mode), 6000, 0.5, 7);
     EXPECT_EQ(r.offered, r.completed + r.dropped)
         << "mode=" << static_cast<int>(mode);
     EXPECT_GT(r.completed, 0u);
   }
 }
 
-TEST(SynthStack, BatchLimitMatchesBlockingEstimate) {
-  SynthStack stack(config_for(SynthMode::kLdlp));
-  EXPECT_EQ(stack.batch_limit(), 12u);  // (8192 - 5*256)/552
-  SynthStack conv(config_for(SynthMode::kConventional));
-  EXPECT_EQ(conv.batch_limit(), 1u);
+TEST(Synth, BatchLimitMatchesBlockingEstimate) {
+  EXPECT_EQ(machine(config_for(SynthMode::kLdlp)).batch_limit,
+            12u);  // (8192 - 5*256)/552
+  EXPECT_EQ(machine(config_for(SynthMode::kConventional)).batch_limit, 1u);
 }
 
-TEST(SynthStack, ConventionalColdMissesMatchWorkingSet) {
+TEST(Synth, ConventionalColdMissesMatchWorkingSet) {
   // At low load, every message fetches the whole 30 KB of layer code:
   // 5 layers x 6 KB / 32 B = 960 instruction misses per message.
-  const RunResult r = run_once(config_for(SynthMode::kConventional),
+  const sim::Summary r = run_once(config_for(SynthMode::kConventional),
                                500, 1.0, 3);
-  EXPECT_NEAR(r.i_misses_per_msg, 960.0, 25.0);
+  EXPECT_NEAR(r.i_miss_per_msg, 960.0, 25.0);
 }
 
-TEST(SynthStack, LdlpCutsInstructionMissesUnderLoad) {
-  const RunResult conv =
+TEST(Synth, LdlpCutsInstructionMissesUnderLoad) {
+  const sim::Summary conv =
       run_once(config_for(SynthMode::kConventional), 8000, 0.5, 5);
-  const RunResult ldlp =
+  const sim::Summary ldlp =
       run_once(config_for(SynthMode::kLdlp), 8000, 0.5, 5);
-  EXPECT_LT(ldlp.i_misses_per_msg, conv.i_misses_per_msg / 3.0);
-  EXPECT_GE(ldlp.d_misses_per_msg, conv.d_misses_per_msg * 0.8);
+  EXPECT_LT(ldlp.i_miss_per_msg, conv.i_miss_per_msg / 3.0);
+  EXPECT_GE(ldlp.d_miss_per_msg, conv.d_miss_per_msg * 0.8);
   EXPECT_GT(ldlp.mean_batch, 3.0);
 }
 
-TEST(SynthStack, LdlpThroughputExceedsConventional) {
-  const RunResult conv =
+TEST(Synth, LdlpThroughputExceedsConventional) {
+  const sim::Summary conv =
       run_once(config_for(SynthMode::kConventional), 9000, 1.0, 9);
-  const RunResult ldlp =
+  const sim::Summary ldlp =
       run_once(config_for(SynthMode::kLdlp), 9000, 1.0, 9);
   EXPECT_GT(ldlp.completed, conv.completed * 2);
-  EXPECT_LT(ldlp.mean_latency_sec, conv.mean_latency_sec);
+  EXPECT_LT(ldlp.mean_latency, conv.mean_latency);
 }
 
-TEST(SynthStack, IlpSavesDataMissesNotInstructionMisses) {
+TEST(Synth, IlpSavesDataMissesNotInstructionMisses) {
   // The paper's argument for why ILP does not rescue small-message
   // protocols: fusing data loops saves message-data traffic but leaves
   // the dominant instruction-fetch traffic untouched.
-  const RunResult conv =
+  const sim::Summary conv =
       run_once(config_for(SynthMode::kConventional), 2000, 0.5, 19);
-  const RunResult ilp = run_once(config_for(SynthMode::kIlp), 2000, 0.5, 19);
-  EXPECT_NEAR(ilp.i_misses_per_msg, conv.i_misses_per_msg,
-              conv.i_misses_per_msg * 0.03);
-  EXPECT_LT(ilp.d_misses_per_msg, conv.d_misses_per_msg);
+  const sim::Summary ilp = run_once(config_for(SynthMode::kIlp), 2000, 0.5, 19);
+  EXPECT_NEAR(ilp.i_miss_per_msg, conv.i_miss_per_msg,
+              conv.i_miss_per_msg * 0.03);
+  EXPECT_LT(ilp.d_miss_per_msg, conv.d_miss_per_msg);
   // And therefore ILP saturates at nearly the same load as conventional,
   // far below LDLP.
-  const RunResult ilp_hot = run_once(config_for(SynthMode::kIlp), 9000, 0.5, 19);
-  const RunResult ldlp_hot =
+  const sim::Summary ilp_hot = run_once(config_for(SynthMode::kIlp), 9000, 0.5, 19);
+  const sim::Summary ldlp_hot =
       run_once(config_for(SynthMode::kLdlp), 9000, 0.5, 19);
   EXPECT_GT(static_cast<double>(ldlp_hot.completed),
             static_cast<double>(ilp_hot.completed) * 1.7);
   EXPECT_GT(ilp_hot.dropped, ldlp_hot.dropped * 10);
 }
 
-TEST(SynthStack, LightLoadBatchesNearOne) {
-  const RunResult r = run_once(config_for(SynthMode::kLdlp), 200, 1.0, 1);
+TEST(Synth, LightLoadBatchesNearOne) {
+  const sim::Summary r = run_once(config_for(SynthMode::kLdlp), 200, 1.0, 1);
   EXPECT_LT(r.mean_batch, 1.1);
   EXPECT_EQ(r.dropped, 0u);
 }
 
-TEST(SynthStack, QueueCostChargesLdlpOnly) {
-  SynthConfig with = config_for(SynthMode::kLdlp);
+TEST(Synth, QueueCostChargesLdlpOnly) {
+  Stack with = config_for(SynthMode::kLdlp);
   with.queue_cost_cycles = 4000;  // exaggerated to be visible
-  SynthConfig without = with;
+  Stack without = with;
   without.queue_cost_cycles = 0;
-  const RunResult slow = run_once(with, 500, 0.5, 11);
-  const RunResult fast = run_once(without, 500, 0.5, 11);
-  EXPECT_GT(slow.mean_latency_sec, fast.mean_latency_sec);
+  const sim::Summary slow = run_once(with, 500, 0.5, 11);
+  const sim::Summary fast = run_once(without, 500, 0.5, 11);
+  EXPECT_GT(slow.mean_latency, fast.mean_latency);
 }
 
-TEST(SynthStack, BufferLimitCausesDrops) {
-  SynthConfig cfg = config_for(SynthMode::kConventional);
+TEST(Synth, BufferLimitCausesDrops) {
+  Stack cfg = config_for(SynthMode::kConventional);
   cfg.buffer_limit = 10;
-  const RunResult r = run_once(cfg, 10000, 0.5, 13);
+  const sim::Summary r = run_once(cfg, 10000, 0.5, 13);
   EXPECT_GT(r.dropped, 0u);
-  EXPECT_LE(r.max_latency_sec, 1.0);  // short queue bounds sojourn
+  EXPECT_LE(r.max_latency, 1.0);  // short queue bounds sojourn
 }
 
-TEST(SynthStack, BigIcacheErasesAdvantage) {
-  SynthConfig conv = config_for(SynthMode::kConventional);
-  conv.cpu.memory.icache.size_bytes = 64 * 1024;
-  conv.cpu.memory.dcache.size_bytes = 64 * 1024;
+TEST(Synth, BigIcacheErasesAdvantage) {
+  sim::Machine big;
+  big.memory.icache.size_bytes = 64 * 1024;
+  big.memory.dcache.size_bytes = 64 * 1024;
   // 4-way: with direct mapping, randomly placed 6 KB regions still
   // conflict often enough to mask residency (an effect the cache-size
   // ablation bench shows); associativity isolates the capacity question.
-  conv.cpu.memory.icache.ways = 4;
-  conv.cpu.memory.dcache.ways = 4;
-  SynthConfig ldlp = conv;
-  ldlp.mode = SynthMode::kLdlp;
-  const RunResult c = run_once(conv, 5000, 0.5, 17);
-  const RunResult l = run_once(ldlp, 5000, 0.5, 17);
+  big.memory.icache.ways = 4;
+  big.memory.dcache.ways = 4;
+  const sim::Summary c =
+      run_once(config_for(SynthMode::kConventional), 5000, 0.5, 17, big);
+  const sim::Summary l =
+      run_once(config_for(SynthMode::kLdlp), 5000, 0.5, 17, big);
   // Whole stack resident: both schedules see few I-misses.
-  EXPECT_LT(c.i_misses_per_msg, 100.0);
-  EXPECT_LT(l.i_misses_per_msg, 100.0);
+  EXPECT_LT(c.i_miss_per_msg, 100.0);
+  EXPECT_LT(l.i_miss_per_msg, 100.0);
 }
 
-TEST(SynthStack, GroupingDegeneratesCorrectly) {
+TEST(Synth, GroupingDegeneratesCorrectly) {
   // Group size = num_layers inside one batch behaves like the
   // conventional inner order: same I-miss count per message when the
   // batch is 1 (light load).
-  SynthConfig grouped = config_for(SynthMode::kLdlp);
+  Stack grouped = config_for(SynthMode::kLdlp);
   grouped.layers_per_group = 5;
   grouped.queue_cost_cycles = 0;
-  const RunResult g = run_once(grouped, 300, 0.5, 31);
-  SynthConfig conv = config_for(SynthMode::kConventional);
-  const RunResult c = run_once(conv, 300, 0.5, 31);
-  EXPECT_NEAR(g.i_misses_per_msg, c.i_misses_per_msg,
-              c.i_misses_per_msg * 0.05);
+  const sim::Summary g = run_once(grouped, 300, 0.5, 31);
+  Stack conv = config_for(SynthMode::kConventional);
+  const sim::Summary c = run_once(conv, 300, 0.5, 31);
+  EXPECT_NEAR(g.i_miss_per_msg, c.i_miss_per_msg,
+              c.i_miss_per_msg * 0.05);
 }
 
-TEST(SynthStack, AutoGroupingMatchesPlan) {
-  SynthConfig cfg = config_for(SynthMode::kLdlp);
+TEST(Synth, AutoGroupingMatchesPlan) {
+  Stack cfg = config_for(SynthMode::kLdlp);
   cfg.layers_per_group = 0;  // auto
-  cfg.cpu.memory.icache.size_bytes = 16 * 1024;
-  SynthStack stack(cfg);
-  EXPECT_EQ(stack.groups(), (std::vector<std::uint32_t>{2, 2, 1}));
+  sim::CacheConfig icache;
+  icache.size_bytes = 16 * 1024;
+  EXPECT_EQ(groups(cfg, icache), (std::vector<std::uint32_t>{2, 2, 1}));
 }
 
-TEST(SynthStack, DuplexDoublesCodeWorkingSet) {
+TEST(Synth, DuplexDoublesCodeWorkingSet) {
   // Request/response mode: the transmit code path is distinct, so cold
   // per-message I-misses double (plus the application's footprint).
-  SynthConfig rx_only = config_for(SynthMode::kConventional);
-  SynthConfig duplex = rx_only;
+  Stack rx_only = config_for(SynthMode::kConventional);
+  Stack duplex = rx_only;
   duplex.duplex = true;
-  const RunResult rx = run_once(rx_only, 300, 0.5, 37);
-  const RunResult both = run_once(duplex, 300, 0.5, 37);
-  EXPECT_GT(both.i_misses_per_msg, rx.i_misses_per_msg * 1.9);
-  EXPECT_GT(both.mean_latency_sec, rx.mean_latency_sec * 1.8);
+  const sim::Summary rx = run_once(rx_only, 300, 0.5, 37);
+  const sim::Summary both = run_once(duplex, 300, 0.5, 37);
+  EXPECT_GT(both.i_miss_per_msg, rx.i_miss_per_msg * 1.9);
+  EXPECT_GT(both.mean_latency, rx.mean_latency * 1.8);
 }
 
-TEST(SynthStack, DuplexLdlpBatchesBothDirections) {
-  SynthConfig conv = config_for(SynthMode::kConventional);
+TEST(Synth, DuplexLdlpBatchesBothDirections) {
+  Stack conv = config_for(SynthMode::kConventional);
   conv.duplex = true;
-  SynthConfig ldlp = conv;
+  Stack ldlp = conv;
   ldlp.mode = SynthMode::kLdlp;
-  const RunResult c = run_once(conv, 4000, 0.5, 41);
-  const RunResult l = run_once(ldlp, 4000, 0.5, 41);
-  EXPECT_LT(l.i_misses_per_msg, c.i_misses_per_msg / 2.0);
+  const sim::Summary c = run_once(conv, 4000, 0.5, 41);
+  const sim::Summary l = run_once(ldlp, 4000, 0.5, 41);
+  EXPECT_LT(l.i_miss_per_msg, c.i_miss_per_msg / 2.0);
   EXPECT_GT(l.completed, c.completed);
 }
 
 TEST(Sweep, AverageAggregatesFields) {
-  RunResult a;
+  sim::Summary a;
   a.completed = 10;
-  a.mean_latency_sec = 0.001;
+  a.mean_latency = 0.001;
   a.batch_limit = 12;
-  RunResult b;
+  sim::Summary b;
   b.completed = 20;
-  b.mean_latency_sec = 0.003;
+  b.mean_latency = 0.003;
   b.batch_limit = 12;
-  const RunResult mean = average({a, b});
+  const sim::Summary mean = average({a, b});
   EXPECT_EQ(mean.completed, 15u);
-  EXPECT_DOUBLE_EQ(mean.mean_latency_sec, 0.002);
+  EXPECT_DOUBLE_EQ(mean.mean_latency, 0.002);
   EXPECT_EQ(mean.batch_limit, 12u);
 }
 
@@ -206,7 +205,7 @@ TEST(Sweep, PoissonSweepMonotoneLoad) {
       config_for(SynthMode::kLdlp), {1000, 4000, 8000}, opt);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_LT(points[0].mean.mean_batch, points[2].mean.mean_batch);
-  EXPECT_LE(points[2].mean.i_misses_per_msg, points[0].mean.i_misses_per_msg);
+  EXPECT_LE(points[2].mean.i_miss_per_msg, points[0].mean.i_miss_per_msg);
 }
 
 TEST(Sweep, ClockSweepSlowerIsWorse) {
@@ -217,7 +216,7 @@ TEST(Sweep, ClockSweepSlowerIsWorse) {
   const auto points = sweep_cpu_clock(
       config_for(SynthMode::kConventional), trace, {20e6, 80e6}, opt);
   ASSERT_EQ(points.size(), 2u);
-  EXPECT_GT(points[0].mean.mean_latency_sec, points[1].mean.mean_latency_sec);
+  EXPECT_GT(points[0].mean.mean_latency, points[1].mean.mean_latency);
 }
 
 }  // namespace

@@ -17,6 +17,11 @@ DnsServer::DnsServer(stack::Host& host, std::uint16_t port)
   LDLP_ASSERT_MSG(bound, "DNS port already bound");
 }
 
+DnsServer::~DnsServer() {
+  host_.udp().unbind(port_);
+  host_.sockets().close(socket_);
+}
+
 void DnsServer::add_a(const std::string& name, std::uint32_t ip,
                       std::uint32_t ttl) {
   const std::string key = normalize_name(name);
@@ -98,6 +103,8 @@ DnsResolver::DnsResolver(stack::Host& host, Config config)
 
 DnsResolver::~DnsResolver() {
   if (wake_ != time::kNoTimer) host_.wheel().cancel(wake_);
+  host_.udp().unbind(cfg_.local_port);
+  host_.sockets().close(socket_);
 }
 
 void DnsResolver::resolve(const std::string& raw_name, Callback cb) {

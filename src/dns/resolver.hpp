@@ -38,6 +38,7 @@ class DnsServer {
  public:
   /// Binds the DNS port on `host`. The host must outlive the server.
   explicit DnsServer(stack::Host& host, std::uint16_t port = kDnsPort);
+  ~DnsServer();
 
   void add_a(const std::string& name, std::uint32_t ip,
              std::uint32_t ttl = 300);

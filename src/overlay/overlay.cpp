@@ -53,6 +53,8 @@ OverlayNode::OverlayNode(stack::Host& host, NodeId self,
 OverlayNode::~OverlayNode() {
   host_.set_restart_hook(nullptr);
   if (wake_ != time::kNoTimer) host_.wheel().cancel(wake_);
+  host_.udp().unbind(cfg_.port);
+  host_.sockets().close(sock_);
 }
 
 std::pair<double, time::TimerClass> OverlayNode::next_deadline()

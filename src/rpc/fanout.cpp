@@ -172,6 +172,12 @@ FanoutServer::FanoutServer(stack::Host& host, const FanoutConfig& config)
   listener_ = host_.tcp().listen(cfg_.port);
 }
 
+FanoutServer::~FanoutServer() {
+  if (sock_ == stack::kNoSocket) return;
+  host_.udp().unbind(cfg_.port);
+  host_.sockets().close(sock_);
+}
+
 void FanoutServer::answer(const RpcCall& call,
                           std::vector<std::uint8_t>* out) {
   RpcReply reply;
@@ -285,6 +291,9 @@ FanoutClient::FanoutClient(stack::Host& host,
 
 FanoutClient::~FanoutClient() {
   if (wake_ != time::kNoTimer) host_.wheel().cancel(wake_);
+  if (sock_ == stack::kNoSocket) return;
+  host_.udp().unbind(cfg_.client_port);
+  host_.sockets().close(sock_);
 }
 
 void FanoutClient::arm_wake(double due) {

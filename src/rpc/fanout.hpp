@@ -131,6 +131,7 @@ class ServiceQueue {
 class FanoutServer {
  public:
   FanoutServer(stack::Host& host, const FanoutConfig& config);
+  ~FanoutServer();
 
   void poll(double now_sec);
 

@@ -142,6 +142,11 @@ NfsServer::NfsServer(stack::Host& host, std::uint16_t port)
   LDLP_ASSERT_MSG(bound, "NFS port already bound");
 }
 
+NfsServer::~NfsServer() {
+  host_.udp().unbind(port_);
+  host_.sockets().close(socket_);
+}
+
 std::size_t NfsServer::poll() {
   std::size_t handled = 0;
   while (auto dgram = host_.sockets().read_datagram(socket_)) {
@@ -292,6 +297,11 @@ NfsClient::NfsClient(stack::Host& host, Config config, PumpFn pump)
   socket_ = host_.sockets().create(stack::SocketKind::kDatagram, 256 * 1024);
   const bool bound = host_.udp().bind(cfg_.local_port, socket_);
   LDLP_ASSERT_MSG(bound, "NFS client port already bound");
+}
+
+NfsClient::~NfsClient() {
+  host_.udp().unbind(cfg_.local_port);
+  host_.sockets().close(socket_);
 }
 
 std::optional<std::vector<std::uint8_t>> NfsClient::call(

@@ -108,6 +108,7 @@ struct NfsServerStats {
 class NfsServer {
  public:
   explicit NfsServer(stack::Host& host, std::uint16_t port = kNfsPort);
+  ~NfsServer();
 
   [[nodiscard]] MemFs& fs() noexcept { return fs_; }
 
@@ -153,6 +154,7 @@ class NfsClient {
   using PumpFn = std::function<void()>;
 
   NfsClient(stack::Host& host, Config config, PumpFn pump);
+  ~NfsClient();
 
   [[nodiscard]] std::optional<FileAttr> getattr(FileHandle fh);
   [[nodiscard]] std::optional<FileHandle> lookup(FileHandle dir,

@@ -6,10 +6,10 @@
 // buffer (TCP); datagram sockets preserve message boundaries and sender
 // addresses (UDP).
 //
-// Stream sockets are recycled with 4.4BSD sofree semantics: a slot is
-// freed once its protocol has let go (the PCB reached CLOSED) and the
-// application has closed it, in either order. Handles carry a generation,
-// so a stale one never reaches the slot's next tenant.
+// Sockets are recycled with 4.4BSD sofree semantics: a slot is freed once
+// its protocol has let go (the PCB reached CLOSED, or UDP unbound the
+// port) and the application has closed it, in either order. Handles carry
+// a generation, so a stale one never reaches the slot's next tenant.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +75,8 @@ class SocketLayer final : public core::Layer {
   /// The application closed `id` (soclose). The slot is freed now if the
   /// protocol has already let go, else when it does. No-op on a stale id.
   void close(SocketId id);
-  /// The protocol let go of `id`: its PCB reached CLOSED (in_pcbdetach).
+  /// The protocol let go of `id`: its PCB reached CLOSED, or its UDP port
+  /// was unbound (in_pcbdetach).
   /// The slot is freed now if the application has already closed it.
   /// No-op on a stale id.
   void detach(SocketId id);

@@ -13,7 +13,12 @@ bool UdpLayer::bind(std::uint16_t port, SocketId socket) {
   return ports_.emplace(port, socket).second;
 }
 
-void UdpLayer::unbind(std::uint16_t port) { ports_.erase(port); }
+void UdpLayer::unbind(std::uint16_t port) {
+  const auto it = ports_.find(port);
+  if (it == ports_.end()) return;
+  sockets_.detach(it->second);
+  ports_.erase(it);
+}
 
 void UdpLayer::process(core::Message msg) {
   ++stats_.rx;

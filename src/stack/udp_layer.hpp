@@ -25,6 +25,8 @@ class UdpLayer final : public core::Layer {
 
   /// Bind a local port to a datagram socket. Returns false if taken.
   [[nodiscard]] bool bind(std::uint16_t port, SocketId socket);
+  /// Release `port` and let go of its socket (in_pcbdetach): the socket
+  /// is freed once the application has closed it too, in either order.
   void unbind(std::uint16_t port);
 
   /// Send a datagram from `src_port` to dst:dst_port.

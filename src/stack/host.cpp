@@ -19,7 +19,7 @@ Host::Host(HostConfig config)
   tcp_->set_clock(&now_);
   tcp_->set_wheel(&wheel_);
   eth_->set_wheel(&wheel_);
-  igmp_ = std::make_unique<IgmpHost>(*ip_, &now_);
+  igmp_ = std::make_unique<IgmpHost>(*ip_, &now_, wheel_);
   ip_->set_igmp(igmp_.get());
 
   eth_id_ = graph_.add_layer(*eth_);
@@ -69,10 +69,9 @@ void Host::advance(double dt_sec) {
     wheel_.set_storm_level(storm != nullptr ? static_cast<int>(storm->param)
                                             : 0);
   }
-  // TCP and ARP timers live on the wheel now; only IGMP report jitter
-  // and reassembly TTLs (cheap, bounded scans) remain pass-driven.
+  // Every retry and report timer lives on the wheel; only reassembly
+  // TTLs (a cheap, bounded scan) remain pass-driven.
   wheel_.advance_to(now_);
-  igmp_->on_timer();
   ip_->expire_reassembly();
   if (fault_ != nullptr) fault_->apply_pool_pressure(pool_);
 }

@@ -43,8 +43,9 @@ std::size_t write_igmp(const IgmpMessage& msg,
   return kIgmpLen;
 }
 
-IgmpHost::IgmpHost(Ip4Layer& ip, const double* now_sec, std::uint64_t seed)
-    : ip_(ip), now_sec_(now_sec), rng_(seed) {}
+IgmpHost::IgmpHost(Ip4Layer& ip, const double* now_sec,
+                   time::TimerWheel& wheel, std::uint64_t seed)
+    : ip_(ip), now_sec_(now_sec), wheel_(wheel), rng_(seed) {}
 
 bool IgmpHost::is_member(std::uint32_t group) const noexcept {
   return groups_.count(group) != 0;
@@ -80,14 +81,30 @@ void IgmpHost::send_leave(std::uint32_t group) {
   ip_.output(std::move(pkt), kAllHostsGroup, wire::IpProto::kIgmp, 1);
 }
 
+void IgmpHost::arm_report(std::uint32_t group, Membership& membership,
+                          double at) {
+  wheel_.cancel(membership.report);
+  membership.report_at = at;
+  membership.report = wheel_.arm(at, time::TimerClass::kCadence,
+                                 [this, group] { fire_report(group); });
+}
+
+void IgmpHost::fire_report(std::uint32_t group) {
+  Membership& membership = groups_.at(group);  // leave() cancels the timer
+  membership.we_reported_last = true;
+  send_report(group);
+  if (membership.unsolicited_left > 0 && --membership.unsolicited_left > 0)
+    arm_report(group, membership,
+               now() + rng_.uniform(0.0, kUnsolicitedIntervalSec));
+}
+
 void IgmpHost::join(std::uint32_t group) {
   if (!is_multicast(group) || is_member(group)) return;
-  Membership membership;
+  Membership& membership = groups_[group];
   membership.we_reported_last = true;
   membership.unsolicited_left = kUnsolicitedReports - 1;
-  membership.report_pending = membership.unsolicited_left > 0;
-  membership.report_at = now() + rng_.uniform(0.0, kUnsolicitedIntervalSec);
-  groups_[group] = membership;
+  const double at = now() + rng_.uniform(0.0, kUnsolicitedIntervalSec);
+  if (membership.unsolicited_left > 0) arm_report(group, membership, at);
   send_report(group);  // first unsolicited report goes out immediately
 }
 
@@ -95,6 +112,7 @@ void IgmpHost::leave(std::uint32_t group) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) return;
   if (it->second.we_reported_last) send_leave(group);
+  wheel_.cancel(it->second.report);
   groups_.erase(it);
 }
 
@@ -108,10 +126,9 @@ void IgmpHost::on_message(const IgmpMessage& msg, std::uint32_t from_ip) {
       for (auto& [group, membership] : groups_) {
         if (msg.group != 0 && msg.group != group) continue;  // targeted
         const double deadline = now() + rng_.uniform(0.0, max_resp);
-        if (!membership.report_pending || deadline < membership.report_at) {
-          membership.report_pending = true;
-          membership.report_at = deadline;
-        }
+        if (!wheel_.armed(membership.report) ||
+            deadline < membership.report_at)
+          arm_report(group, membership, deadline);
       }
       break;
     }
@@ -119,9 +136,8 @@ void IgmpHost::on_message(const IgmpMessage& msg, std::uint32_t from_ip) {
     case IgmpType::kReportV2: {
       ++stats_.reports_heard;
       const auto it = groups_.find(msg.group);
-      if (it != groups_.end() && it->second.report_pending) {
+      if (it != groups_.end() && wheel_.cancel(it->second.report)) {
         // Someone else answered for the group: suppress ours.
-        it->second.report_pending = false;
         it->second.we_reported_last = false;
         ++stats_.suppressed;
       }
@@ -129,23 +145,6 @@ void IgmpHost::on_message(const IgmpMessage& msg, std::uint32_t from_ip) {
     }
     case IgmpType::kLeave:
       break;  // router business; hosts ignore
-  }
-}
-
-void IgmpHost::on_timer() {
-  const double t = now();
-  for (auto& [group, membership] : groups_) {
-    if (!membership.report_pending || t < membership.report_at) continue;
-    membership.report_pending = false;
-    membership.we_reported_last = true;
-    send_report(group);
-    if (membership.unsolicited_left > 0) {
-      --membership.unsolicited_left;
-      if (membership.unsolicited_left > 0) {
-        membership.report_pending = true;
-        membership.report_at = t + rng_.uniform(0.0, kUnsolicitedIntervalSec);
-      }
-    }
   }
 }
 

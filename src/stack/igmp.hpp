@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "common/rng.hpp"
+#include "time/timer_wheel.hpp"
 #include "wire/ipv4.hpp"
 
 namespace ldlp::stack {
@@ -54,8 +55,10 @@ struct IgmpStats {
 
 class IgmpHost {
  public:
-  /// `now_sec` is the host clock (same pointer the other layers use).
-  IgmpHost(Ip4Layer& ip, const double* now_sec, std::uint64_t seed = 2236);
+  /// `now_sec` is the host clock (same pointer the other layers use);
+  /// delayed reports are armed on the host's `wheel`.
+  IgmpHost(Ip4Layer& ip, const double* now_sec, time::TimerWheel& wheel,
+           std::uint64_t seed = 2236);
 
   void join(std::uint32_t group);
   void leave(std::uint32_t group);
@@ -67,15 +70,12 @@ class IgmpHost {
   /// Called by the IP layer for protocol-2 datagrams.
   void on_message(const IgmpMessage& msg, std::uint32_t from_ip);
 
-  /// Fire pending delayed reports. Call from Host::advance().
-  void on_timer();
-
   [[nodiscard]] const IgmpStats& stats() const noexcept { return stats_; }
 
  private:
   struct Membership {
-    double report_at = 0.0;   ///< Pending delayed report deadline.
-    bool report_pending = false;
+    time::TimerId report = time::kNoTimer;  ///< Pending delayed report.
+    double report_at = 0.0;                 ///< Its deadline.
     bool we_reported_last = false;  ///< Governs who sends the leave.
     std::uint32_t unsolicited_left = 0;
   };
@@ -85,9 +85,13 @@ class IgmpHost {
   }
   void send_report(std::uint32_t group);
   void send_leave(std::uint32_t group);
+  /// (Re)arm `group`'s delayed report at `at`, replacing any pending one.
+  void arm_report(std::uint32_t group, Membership& membership, double at);
+  void fire_report(std::uint32_t group);
 
   Ip4Layer& ip_;
   const double* now_sec_;
+  time::TimerWheel& wheel_;
   Rng rng_;
   std::unordered_map<std::uint32_t, Membership> groups_;
   IgmpStats stats_;

@@ -1,10 +1,13 @@
 // Integration-style tests of the lower stack: device wire, ARP resolution,
-// Ethernet demux, IP validation/fragmentation/reassembly, ICMP echo, UDP.
+// Ethernet demux, IP validation/fragmentation/reassembly, ICMP echo, UDP,
+// datagram socket lifetime and IGMP report timers on the host wheel.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "dns/resolver.hpp"
 #include "stack/host.hpp"
 #include "stack/reassembly.hpp"
 #include "wire/checksum.hpp"
@@ -368,6 +371,72 @@ TEST(Sockets, DatagramRoomComesBackOnReadAndCrash) {
   deliver();
   EXPECT_EQ(sockets.pending_datagrams(sock), 2u);
   EXPECT_EQ(sockets.socket_stats(sock).overflows, 1u);
+}
+
+TEST(Sockets, DatagramSocketFreedByUnbindAndCloseInEitherOrder) {
+  for (const bool unbind_first : {true, false}) {
+    Pair net;
+    SocketLayer& sockets = net.b->sockets();
+    const SocketId sock = sockets.create(SocketKind::kDatagram);
+    ASSERT_TRUE(net.b->udp().bind(7000, sock));
+    if (unbind_first) {
+      net.b->udp().unbind(7000);
+      EXPECT_TRUE(sockets.valid(sock)) << "the application still holds it";
+      sockets.close(sock);
+    } else {
+      sockets.close(sock);
+      EXPECT_TRUE(sockets.valid(sock)) << "the port still holds it";
+      net.b->udp().unbind(7000);
+    }
+    EXPECT_EQ(sockets.live_count(), 0u) << "unbind_first=" << unbind_first;
+    EXPECT_FALSE(sockets.valid(sock)) << "unbind_first=" << unbind_first;
+    // The port and the slot are both free for the next tenant.
+    EXPECT_TRUE(net.b->udp().bind(7000, sockets.create(SocketKind::kDatagram)));
+  }
+}
+
+TEST(Sockets, DnsEndpointsFreeTheirSocketsWhenDestroyed) {
+  Pair net;
+  {
+    dns::DnsServer server(*net.b);
+    server.add_a("www.example", ip_from_parts(10, 0, 0, 9));
+    dns::DnsResolver::Config cfg;
+    cfg.server_ip = net.cb.ip;
+    dns::DnsResolver resolver(*net.a, cfg);
+    std::optional<std::uint32_t> answer;
+    resolver.resolve("www.example",
+                     [&](const std::string&, std::optional<std::uint32_t> a) {
+                       answer = a;
+                     });
+    for (int i = 0; i < 10 && !answer.has_value(); ++i) {
+      net.settle(2);
+      server.poll();
+      resolver.poll();
+    }
+    EXPECT_EQ(answer, ip_from_parts(10, 0, 0, 9));
+    EXPECT_EQ(net.a->sockets().live_count(), 1u);
+    EXPECT_EQ(net.b->sockets().live_count(), 1u);
+  }
+  EXPECT_EQ(net.a->sockets().live_count(), 0u);
+  EXPECT_EQ(net.b->sockets().live_count(), 0u);
+}
+
+TEST(Igmp, SuppressedReportNeverFiresFromTheWheel) {
+  Pair net;
+  constexpr std::uint32_t kGroup = 0xe1000005;  // 225.0.0.5
+  const std::size_t idle = net.a->wheel().armed_count();
+  net.a->igmp().join(kGroup);  // one report now, one armed on the wheel
+  EXPECT_EQ(net.a->wheel().armed_count(), idle + 1);
+  // Another member reports for the group first: ours is suppressed and
+  // leaves the wheel.
+  IgmpMessage report;
+  report.type = IgmpType::kReportV2;
+  report.group = kGroup;
+  net.a->igmp().on_message(report, net.cb.ip);
+  EXPECT_EQ(net.a->igmp().stats().suppressed, 1u);
+  EXPECT_EQ(net.a->wheel().armed_count(), idle);
+  for (int i = 0; i < 30; ++i) net.a->advance(1.0);  // past any deadline
+  EXPECT_EQ(net.a->igmp().stats().reports_sent, 1u);
 }
 
 TEST(Scheduling, LdlpAndConventionalDeliverSameData) {

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "par/shard_engine.hpp"
@@ -34,27 +35,31 @@ using obs::Json;
 
 Json num(double v) { return Json(v); }
 Json count(std::uint64_t v) { return Json(v); }
+Json object(std::initializer_list<std::pair<const char*, Json>> fields) {
+  Json j = Json::object();
+  for (const auto& [key, value] : fields) j.set(key, value);
+  return j;
+}
 
 Json synth_case(const synth::Stack& stack, double rate,
                 const sim::Machine& base = {}) {
   traffic::PoissonSource source(rate, traffic::internet552_sizes(), 42);
   const double horizon = 0.2;
   const sim::Summary r = synth::run(stack, source, horizon, base);
-  Json j = Json::object();
-  j.set("offered", count(r.offered));
-  j.set("completed", count(r.completed));
-  j.set("dropped", count(r.dropped));
-  j.set("mean_latency_sec", num(r.mean_latency));
-  j.set("p50_latency_sec", num(r.p50_latency));
-  j.set("p99_latency_sec", num(r.p99_latency));
-  j.set("max_latency_sec", num(r.max_latency));
-  j.set("i_misses_per_msg", num(r.i_miss_per_msg));
-  j.set("d_misses_per_msg", num(r.d_miss_per_msg));
-  j.set("mean_batch", num(r.mean_batch));
-  j.set("busy_fraction", num(static_cast<double>(r.busy_cycles) /
-                             base.clock_hz / std::max(r.end, horizon)));
-  j.set("batch_limit", count(r.batch_limit));
-  return j;
+  return object(
+      {{"offered", count(r.offered)},
+       {"completed", count(r.completed)},
+       {"dropped", count(r.dropped)},
+       {"mean_latency_sec", num(r.mean_latency)},
+       {"p50_latency_sec", num(r.p50_latency)},
+       {"p99_latency_sec", num(r.p99_latency)},
+       {"max_latency_sec", num(r.max_latency)},
+       {"i_misses_per_msg", num(r.i_miss_per_msg)},
+       {"d_misses_per_msg", num(r.d_miss_per_msg)},
+       {"mean_batch", num(r.mean_batch)},
+       {"busy_fraction", num(static_cast<double>(r.busy_cycles) /
+                             base.clock_hz / std::max(r.end, horizon))},
+       {"batch_limit", count(r.batch_limit)}});
 }
 
 Json synth_cases() {
@@ -96,30 +101,26 @@ Json shard_cases() {
       sim::Machine base;
       base.coalesce = coalesce;
       const sim::Summary r = par::run(rx, base);
-      Json j = Json::object();
       Json per_shard = Json::array();
       std::uint64_t max_shard_messages = 0;
       for (const sim::Load& s : r.contexts) {
-        Json js = Json::object();
-        js.set("messages", count(s.messages));
-        js.set("batches", count(s.batches));
-        js.set("i_misses", count(s.i_misses));
-        js.set("d_misses", count(s.d_misses));
-        per_shard.push_back(std::move(js));
+        per_shard.push_back(object({{"messages", count(s.messages)},
+                                    {"batches", count(s.batches)},
+                                    {"i_misses", count(s.i_misses)},
+                                    {"d_misses", count(s.d_misses)}}));
         max_shard_messages = std::max(max_shard_messages, s.messages);
       }
-      j.set("shards", std::move(per_shard));
-      j.set("batch_limit", count(r.batch_limit));
-      j.set("mean_latency_sec", num(r.mean_latency));
-      j.set("p99_latency_sec", num(r.p99_latency));
-      j.set("mean_batch", num(r.mean_batch));
-      j.set("i_miss_per_msg", num(r.i_miss_per_msg));
-      j.set("d_miss_per_msg", num(r.d_miss_per_msg));
-      j.set("max_shard_messages", count(max_shard_messages));
-      j.set("max_shard_share", num(par::max_shard_share(r)));
       out.set(std::string(coalesce == 0.0 ? "poll" : "coal") + "@" +
                   std::to_string(shards),
-              std::move(j));
+              object({{"shards", per_shard},
+                      {"batch_limit", count(r.batch_limit)},
+                      {"mean_latency_sec", num(r.mean_latency)},
+                      {"p99_latency_sec", num(r.p99_latency)},
+                      {"mean_batch", num(r.mean_batch)},
+                      {"i_miss_per_msg", num(r.i_miss_per_msg)},
+                      {"d_miss_per_msg", num(r.d_miss_per_msg)},
+                      {"max_shard_messages", count(max_shard_messages)},
+                      {"max_shard_share", num(par::max_shard_share(r))}}));
     }
   }
   return out;
@@ -131,33 +132,28 @@ Json stage_case(pipe::RxMode mode, double rate, std::size_t queue_cap) {
   tc.duration_sec = 0.2;
   const auto sizes = traffic::internet552_sizes();
   const auto trace = traffic::generate_self_similar_trace(tc, *sizes, 0x51a6);
-  sim::Machine cfg = pipe::machine(mode, 8);
-  cfg.queue_limit = queue_cap;
-  const sim::Summary r = cfg.run(pipe::arrivals(trace));
-  Json j = Json::object();
+  sim::Machine machine = pipe::machine(mode, 8);
+  machine.queue_limit = queue_cap;
+  const sim::Summary r = machine.run(pipe::arrivals(trace));
   Json stages = Json::array();
-  for (const sim::Load& s : r.scopes) {
-    Json js = Json::object();
-    js.set("messages", count(s.messages));
-    js.set("activations", count(s.batches));
-    js.set("i_misses", count(s.i_misses));
-    js.set("d_misses", count(s.d_misses));
-    js.set("drops", count(s.drops));
-    js.set("busy_cycles", count(s.busy_cycles));
-    stages.push_back(std::move(js));
-  }
-  j.set("stages", std::move(stages));
-  j.set("offered", count(r.offered));
-  j.set("completed", count(r.completed));
-  j.set("dropped", count(r.dropped));
-  j.set("i_miss_per_msg", num(r.i_miss_per_msg));
-  j.set("d_miss_per_msg", num(r.d_miss_per_msg));
-  j.set("mean_latency_sec", num(r.mean_latency));
-  j.set("p50_latency_sec", num(r.p50_latency));
-  j.set("p99_latency_sec", num(r.p99_latency));
-  j.set("mean_batch", num(r.mean_batch));
-  j.set("span_sec", num(r.end - trace.front().time));
-  return j;
+  for (const sim::Load& s : r.scopes)
+    stages.push_back(object({{"messages", count(s.messages)},
+                             {"activations", count(s.batches)},
+                             {"i_misses", count(s.i_misses)},
+                             {"d_misses", count(s.d_misses)},
+                             {"drops", count(s.drops)},
+                             {"busy_cycles", count(s.busy_cycles)}}));
+  return object({{"stages", stages},
+                 {"offered", count(r.offered)},
+                 {"completed", count(r.completed)},
+                 {"dropped", count(r.dropped)},
+                 {"i_miss_per_msg", num(r.i_miss_per_msg)},
+                 {"d_miss_per_msg", num(r.d_miss_per_msg)},
+                 {"mean_latency_sec", num(r.mean_latency)},
+                 {"p50_latency_sec", num(r.p50_latency)},
+                 {"p99_latency_sec", num(r.p99_latency)},
+                 {"mean_batch", num(r.mean_batch)},
+                 {"span_sec", num(r.end - trace.front().time)}});
 }
 
 Json stage_cases() {
@@ -175,11 +171,23 @@ Json stage_cases() {
 }
 
 TEST(SimEnginesGolden, ResultsMatchGoldenFile) {
-  Json doc = Json::object();
-  doc.set("synth", synth_cases());
-  doc.set("shard", shard_cases());
-  doc.set("stage", stage_cases());
-  const std::string text = doc.dump(2) + "\n";
+  // One line per case: a drift names its case in the diff.
+  const std::pair<std::string, Json> sections[] = {
+      {"synth", synth_cases()}, {"shard", shard_cases()},
+      {"stage", stage_cases()}};
+  std::string text = "{";
+  std::string sep = "\n";
+  for (const auto& [section, cases] : sections) {
+    text += sep + "  \"" + section + "\": {";
+    std::string inner = "\n";
+    for (const auto& [name, result] : cases.members()) {
+      text += inner + "    \"" + name + "\": " + result.dump();
+      inner = ",\n";
+    }
+    text += "\n  }";
+    sep = ",\n";
+  }
+  text += "\n}\n";
   const std::string path = std::string(LDLP_GOLDEN_DIR) + "/sim_engines.json";
 
   if (std::getenv("LDLP_UPDATE_GOLDEN") != nullptr) {

@@ -33,7 +33,6 @@
 #include "pipe/stage_engine.hpp"
 #include "recover/partition_heal.hpp"
 #include "rpc/fanout.hpp"
-#include "sim/cpu_model.hpp"
 #include "sim/machine.hpp"
 #include "stack/rx_path_trace.hpp"
 #include "synth/sweep.hpp"
@@ -105,17 +104,14 @@ inline obs::BenchResult gate_checksum() {
   result.tolerance = 1e-9;
 
   const auto fill_cycles = [](std::uint32_t code_bytes, double fixed) {
-    sim::CpuModel cold(sim::CpuConfig{});
-    sim::CpuModel warm(sim::CpuConfig{});
-    warm.ifetch(0x10000, code_bytes);
-    const std::uint64_t w0 = warm.busy_cycles();
-    const std::uint64_t c0 = cold.busy_cycles();
-    cold.ifetch(0x10000, code_bytes);
-    cold.execute(static_cast<std::uint64_t>(fixed));
-    warm.ifetch(0x10000, code_bytes);
-    warm.execute(static_cast<std::uint64_t>(fixed));
-    return static_cast<double>((cold.busy_cycles() - c0) -
-                               (warm.busy_cycles() - w0));
+    sim::MemorySystem cold(sim::MemoryConfig{});
+    sim::MemorySystem warm(sim::MemoryConfig{});
+    (void)warm.access(sim::Access::kIFetch, 0x10000, code_bytes);
+    const auto run = [&](sim::MemorySystem& mem) {
+      return mem.access(sim::Access::kIFetch, 0x10000, code_bytes) +
+             static_cast<std::uint64_t>(fixed);
+    };
+    return static_cast<double>(run(cold) - run(warm));
   };
   result.set_metric("bsd.cache_fill_cycles", fill_cycles(682, 80.0));
   result.set_metric("simple.cache_fill_cycles", fill_cycles(288, 30.0));

@@ -1,11 +1,11 @@
 // Unit tests for the machine model: cache geometry, hit/miss behaviour,
-// associativity, memory-system penalties, address-space placement, CPU
-// cycle accounting. Includes parameterized sweeps over cache geometries.
+// associativity, memory-system penalties and address-space placement.
+// Includes parameterized sweeps over cache geometries.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "sim/address_space.hpp"
-#include "sim/cpu_model.hpp"
+#include "sim/memory_system.hpp"
 
 namespace ldlp::sim {
 namespace {
@@ -208,20 +208,6 @@ TEST(MemorySystem, TlbSpanningAccessTouchesBothPages) {
   const std::uint64_t stall = mem.access(Access::kRead, 8192 - 16, 32);
   // Two TLB misses + two cache-line misses.
   EXPECT_EQ(stall, 2u * 30 + 2u * 20);
-}
-
-TEST(CpuModel, CycleAccounting) {
-  CpuConfig cfg;  // 100 MHz
-  CpuModel cpu(cfg);
-  cpu.execute(1000);
-  EXPECT_EQ(cpu.busy_cycles(), 1000u);
-  EXPECT_DOUBLE_EQ(cpu.busy_seconds(), 1000.0 / 100e6);
-  cpu.ifetch(0, 32);  // one cold miss: +20 cycles
-  EXPECT_EQ(cpu.busy_cycles(), 1020u);
-  cpu.reset();
-  EXPECT_EQ(cpu.busy_cycles(), 0u);
-  cpu.ifetch(0, 32);  // cold again after reset
-  EXPECT_EQ(cpu.busy_cycles(), 20u);
 }
 
 TEST(AddressSpace, NoOverlaps) {

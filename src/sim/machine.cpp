@@ -46,7 +46,8 @@ Summary Machine::run(std::span<const Arrival> arrivals) const {
   for (const Station& st : stations) {
     // Drops and the activation cost belong to the station's entry scope.
     LDLP_ASSERT(st.replicas >= 1 && !st.groups.empty() &&
-                !st.groups.front().empty());
+                !st.groups.front().empty() &&
+                (st.steer.empty() || st.steer.size() == in.size()));
     const std::uint32_t entry = st.groups.front().front().scope;
     std::vector<Visit> departed;
     for (std::uint32_t r = 0; r < st.replicas; ++r, ++ctx) {

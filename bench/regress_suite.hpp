@@ -250,7 +250,7 @@ inline obs::BenchResult gate_fleet_soak() {
     std::uint16_t port;
     stack::PcbId conn = stack::kNoPcb;
     stack::SocketId rx_socket = stack::kNoSocket;
-    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> payload{};
     std::size_t sent_off = 0;
     std::size_t got = 0;
   };

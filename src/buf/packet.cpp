@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -81,16 +82,18 @@ std::uint8_t* Packet::prepend(std::uint32_t n) noexcept {
   return m->grow_front(n);
 }
 
-bool Packet::append(std::span<const std::uint8_t> payload) noexcept {
+bool Packet::append(std::span<const std::uint8_t> payload,
+                    std::span<const std::uint8_t> more) noexcept {
   LDLP_DASSERT(head_ != nullptr);
   Mbuf* tail = head_;
   while (tail->next() != nullptr) tail = tail->next();
-  while (!payload.empty()) {
+  while (!payload.empty() || !more.empty()) {
+    if (payload.empty()) payload = std::exchange(more, {});
     std::uint32_t space = tail->trailing_space();
     if (space == 0) {
       Mbuf* m = pool_->alloc();
       if (m == nullptr) return false;
-      if (payload.size() > m->buffer_size() / 2) {
+      if (payload.size() + more.size() > m->buffer_size() / 2) {
         if (!pool_->add_cluster(*m)) {
           pool_->free_one(m);
           return false;

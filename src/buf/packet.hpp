@@ -70,9 +70,12 @@ class Packet {
   /// the new front bytes, or nullptr on allocation failure.
   [[nodiscard]] std::uint8_t* prepend(std::uint32_t n) noexcept;
 
-  /// Append `payload`, using trailing space then new cluster mbufs.
+  /// Append `payload`, then `more`, using trailing space then new cluster
+  /// mbufs. The two pieces are laid out as one payload (the two halves of
+  /// a wrapped ring region give the chain one contiguous payload would).
   /// Returns false on allocation failure (packet may be partly extended).
-  [[nodiscard]] bool append(std::span<const std::uint8_t> payload) noexcept;
+  [[nodiscard]] bool append(std::span<const std::uint8_t> payload,
+                            std::span<const std::uint8_t> more = {}) noexcept;
 
   /// m_adj: trim `n` bytes from the front (positive) or back (negative),
   /// freeing emptied mbufs (the head mbuf is kept even if empty, as BSD

@@ -1,20 +1,22 @@
 #include "buf/pool.hpp"
 
+#include <new>
+
 #include "common/assert.hpp"
 
 namespace ldlp::buf {
 
-MbufPool::MbufPool(std::size_t mbuf_count, std::size_t cluster_count) {
+MbufPool::MbufPool(std::size_t mbuf_count, std::size_t cluster_count)
+    : mbuf_slab_(static_cast<Mbuf*>(::operator new(mbuf_count * sizeof(Mbuf)))),
+      cluster_slab_(static_cast<Cluster*>(
+          ::operator new(cluster_count * sizeof(Cluster)))),
+      mbuf_count_(mbuf_count),
+      cluster_count_(cluster_count) {
   LDLP_ASSERT(mbuf_count > 0);
-  mbuf_slab_ = std::unique_ptr<Mbuf[]>(new Mbuf[mbuf_count]);
+  // Reserving writes nothing, so no slab or freelist page is touched
+  // before its buffer is first used.
   mbuf_free_.reserve(mbuf_count);
-  for (std::size_t i = 0; i < mbuf_count; ++i)
-    mbuf_free_.push_back(&mbuf_slab_[mbuf_count - 1 - i]);
-
-  cluster_slab_ = std::unique_ptr<Cluster[]>(new Cluster[cluster_count]);
   cluster_free_.reserve(cluster_count);
-  for (std::size_t i = 0; i < cluster_count; ++i)
-    cluster_free_.push_back(&cluster_slab_[cluster_count - 1 - i]);
 }
 
 MbufPool::~MbufPool() {
@@ -23,12 +25,16 @@ MbufPool::~MbufPool() {
 }
 
 Mbuf* MbufPool::alloc(bool pkthdr) noexcept {
-  if (mbuf_free_.empty()) {
+  Mbuf* m;
+  if (!mbuf_free_.empty()) {
+    m = mbuf_free_.back();
+    mbuf_free_.pop_back();
+  } else if (mbufs_carved_ < mbuf_count_) {
+    m = new (mbuf_slab_.get() + mbufs_carved_++) Mbuf();
+  } else {
     ++stats_.alloc_failures;
     return nullptr;
   }
-  Mbuf* m = mbuf_free_.back();
-  mbuf_free_.pop_back();
   m->next_ = nullptr;
   m->nextpkt_ = nullptr;
   m->len_ = 0;
@@ -43,12 +49,17 @@ Mbuf* MbufPool::alloc(bool pkthdr) noexcept {
 
 bool MbufPool::add_cluster(Mbuf& m) noexcept {
   LDLP_DASSERT(m.len_ == 0 && m.cluster_ == nullptr);
-  if (cluster_free_.empty()) {
+  Cluster* c;
+  if (!cluster_free_.empty()) {
+    c = cluster_free_.back();
+    cluster_free_.pop_back();
+  } else if (clusters_carved_ < cluster_count_) {
+    // Only the header is initialised; the bytes are written before use.
+    c = new (cluster_slab_.get() + clusters_carved_++) Cluster;
+  } else {
     ++stats_.alloc_failures;
     return false;
   }
-  Cluster* c = cluster_free_.back();
-  cluster_free_.pop_back();
   c->refs = 1;
   m.cluster_ = c;
   m.center_window();

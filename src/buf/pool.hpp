@@ -4,6 +4,11 @@
 // reported, not thrown: a protocol stack under overload must shed packets,
 // not unwind. The pool tracks outstanding buffers so tests can assert
 // leak-freedom after every scenario.
+//
+// The slabs are reserved, not initialised: each mbuf or cluster is
+// constructed the first time it is handed out, lowest index first, so a
+// host commits memory for the buffers its traffic actually uses rather
+// than for the whole pool at construction.
 #pragma once
 
 #include <cstdint>
@@ -59,18 +64,30 @@ class MbufPool {
   void free_chain(Mbuf* m) noexcept;
 
   [[nodiscard]] const PoolStats& stats() const noexcept { return stats_; }
+  /// Buffers available: freed ones plus those never handed out.
   [[nodiscard]] std::size_t mbufs_free() const noexcept {
-    return mbuf_free_.size();
+    return mbuf_free_.size() + (mbuf_count_ - mbufs_carved_);
   }
   [[nodiscard]] std::size_t clusters_free() const noexcept {
-    return cluster_free_.size();
+    return cluster_free_.size() + (cluster_count_ - clusters_carved_);
   }
 
  private:
+  struct SlabDelete {
+    void operator()(void* p) const noexcept { ::operator delete(p); }
+  };
+
   void release_cluster(Cluster* c) noexcept;
 
-  std::unique_ptr<Mbuf[]> mbuf_slab_;
-  std::unique_ptr<Cluster[]> cluster_slab_;
+  std::unique_ptr<Mbuf, SlabDelete> mbuf_slab_;
+  std::unique_ptr<Cluster, SlabDelete> cluster_slab_;
+  std::size_t mbuf_count_ = 0;
+  std::size_t cluster_count_ = 0;
+  /// Slots below these indices have been constructed (handed out once).
+  std::size_t mbufs_carved_ = 0;
+  std::size_t clusters_carved_ = 0;
+  /// Freed buffers, reused LIFO before any new slot is carved — the order
+  /// a freelist pre-filled lowest-index-last would give.
   std::vector<Mbuf*> mbuf_free_;
   std::vector<Cluster*> cluster_free_;
   PoolStats stats_;

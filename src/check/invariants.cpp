@@ -62,10 +62,10 @@ void HostAuditor::audit_tcp() {
     // a zero window blocks queued data and nothing is in flight (an ACK
     // of in-flight data would carry the window update instead).
     if (std::isfinite(p.persist_deadline) &&
-        (!p.rtx.empty() || p.send_buffer.empty() || p.snd_wnd != 0))
+        (!p.rtx.empty() || p.unsent_bytes() == 0 || p.snd_wnd != 0))
       violation(who + ": persist timer armed outside a zero-window stall" +
                 " (rtx=" + std::to_string(p.rtx.size()) +
-                " sndbuf=" + std::to_string(p.send_buffer.size()) +
+                " sndbuf=" + std::to_string(p.unsent_bytes()) +
                 " snd_wnd=" + std::to_string(p.snd_wnd) + ")");
 
     // The rtx queue tiles [snd_una, snd_nxt): the oldest segment covers
@@ -74,7 +74,8 @@ void HostAuditor::audit_tcp() {
     if (!p.rtx.empty()) {
       std::uint32_t expect = 0;
       bool first = true;
-      for (const stack::RtxSegment& seg : p.rtx) {
+      for (std::size_t i = 0; i < p.rtx.size(); ++i) {
+        const stack::RtxSegment& seg = p.rtx[i];
         const std::uint32_t space =
             seg.len + ((seg.flags & wire::tcpflags::kSyn) != 0 ? 1 : 0) +
             ((seg.flags & wire::tcpflags::kFin) != 0 ? 1 : 0);

@@ -25,8 +25,7 @@ std::size_t Layer::drain(std::size_t limit) {
   ++stats_.activations;
   std::size_t n = 0;
   while (!queue_.empty() && n < limit) {
-    Message msg = std::move(queue_.front());
-    queue_.pop_front();
+    Message msg = queue_.pop_front();
     ++stats_.processed;
     ++n;
     process(std::move(msg));

@@ -12,9 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
+#include "common/ring.hpp"
 #include "core/message.hpp"
 
 namespace ldlp::core {
@@ -85,7 +85,9 @@ class Layer {
 
   std::string name_;
   std::size_t queue_capacity_;
-  std::deque<Message> queue_;
+  /// Grows up to queue_capacity_ and keeps its storage, so a layer that
+  /// has seen its working backlog queues without allocating.
+  Ring<Message> queue_;
   StackGraph* graph_ = nullptr;
   LayerId id_ = kNoLayer;
   LayerStats stats_;

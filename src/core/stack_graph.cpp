@@ -126,12 +126,12 @@ std::size_t StackGraph::run_stage_pass() {
   if (mode_ == SchedMode::kConventional) return 0;
   // Snapshot first: work a lower layer hands up during this pass belongs
   // to the *next* pass, which is what makes each pass one stage advance.
-  std::vector<std::size_t> snapshot(nodes_.size());
+  stage_snapshot_.resize(nodes_.size());
   for (LayerId id = 0; id < nodes_.size(); ++id)
-    snapshot[id] = nodes_[id].layer->queue_len();
+    stage_snapshot_[id] = nodes_[id].layer->queue_len();
   std::size_t total = 0;
   for (LayerId id = 0; id < nodes_.size(); ++id) {
-    std::size_t limit = snapshot[id];
+    std::size_t limit = stage_snapshot_[id];
     if (limit == 0) continue;
     if (batch_limit_ != 0) limit = std::min(limit, batch_limit_);
     total += nodes_[id].layer->drain(limit);

@@ -156,6 +156,9 @@ class StackGraph {
   std::size_t batch_limit_ = 0;
   std::size_t backlog_limit_ = 0;
   int depth_ = 0;  ///< Live process_now() nesting (conventional mode).
+  /// Per-layer queue lengths at the start of run_stage_pass(), kept
+  /// between passes so a pass allocates nothing.
+  std::vector<std::size_t> stage_snapshot_;
   GraphStats gstats_;
   RunningStats drain_seconds_;
 };

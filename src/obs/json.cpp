@@ -49,7 +49,7 @@ void append_number(std::string& out, double v, bool integral) {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  std::string error;
+  std::string error{};
 
   [[nodiscard]] bool fail(const std::string& what) {
     if (error.empty())

@@ -79,11 +79,13 @@ std::uint32_t StagedRx::classify_hash(const buf::Packet& pkt) const {
 void StagedRx::run_parse(std::size_t limit, par::WorkerPool* pool) {
   if (parse_q_.empty()) return;
   ++parse_.activations;
-  std::vector<buf::Packet> batch;
+  std::vector<buf::Packet>& batch = parse_batch_;
+  std::vector<std::uint32_t>& hashes = parse_hashes_;
+  batch.clear();
   while (batch.size() < limit && !parse_q_.empty())
     batch.push_back(parse_q_.pop());
   parse_.handed_off += batch.size();
-  std::vector<std::uint32_t> hashes(batch.size(), 0);
+  hashes.assign(batch.size(), 0);
   if (pool != nullptr && pool->workers() > 1 && batch.size() > 1) {
     // Frame-indexed slots: bit-identical for any --jobs.
     pool->run(batch.size(), [&](std::size_t i, par::WorkerContext&) {
@@ -110,8 +112,7 @@ void StagedRx::run_steer() {
   while (!steer_q_.empty()) {
     buf::Packet frame = steer_q_.pop();
     LDLP_DASSERT(!steer_meta_.empty());
-    const std::uint32_t hash = steer_meta_.front();
-    steer_meta_.pop_front();
+    const std::uint32_t hash = steer_meta_.pop_front();
     ++steer_.handed_off;
     (void)offer(proto_, proto_q_[hash % cfg_.lanes], std::move(frame));
   }

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "buf/packet_queue.hpp"
+#include "common/ring.hpp"
 #include "obs/metrics.hpp"
 #include "par/worker_pool.hpp"
 #include "stack/host.hpp"
@@ -144,7 +145,11 @@ class StagedRx {
   buf::PacketQueue steer_q_;
   /// Flow hash of each frame in steer_q_, same order (parse computes it
   /// once; steer only folds it onto a lane).
-  std::deque<std::uint32_t> steer_meta_;
+  Ring<std::uint32_t> steer_meta_;
+  /// run_parse's batch and its flow hashes, kept between passes so the
+  /// stage allocates nothing once it has seen its largest batch.
+  std::vector<buf::Packet> parse_batch_;
+  std::vector<std::uint32_t> parse_hashes_;
   /// One bounded queue per lane (deque: PacketQueue is pinned in place).
   std::deque<buf::PacketQueue> proto_q_;
   StageCounters parse_;

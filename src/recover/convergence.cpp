@@ -81,7 +81,7 @@ void ConvergenceOracle::flag_violations() {
                     t.host->name().c_str(), id,
                     std::string(tcp_state_name(p.state)).c_str(),
                     static_cast<unsigned long long>(ready_passes_),
-                    p.send_buffer.size(), p.rtx.size(), p.ooo.size(),
+                    p.unsent_bytes(), p.rtx.size(), p.ooo.size(),
                     p.fin_queued ? 1 : 0);
       violations_.emplace_back(line);
       ++stats_.violations;

@@ -14,7 +14,7 @@ std::uint64_t ProgressWatchdog::occupancy(stack::Host& host) {
   stack::TcpLayer& tcp = host.tcp();
   for (stack::PcbId id = 0; id < tcp.pcb_count(); ++id) {
     const stack::TcpPcb& p = tcp.pcb_view(id);
-    held += p.send_buffer.size() + p.rtx.size() + p.ooo.size();
+    held += p.unsent_bytes() + p.rtx.size() + p.ooo.size();
   }
   return held;
 }

@@ -117,7 +117,9 @@ NetDevice::NetDevice(std::string name, wire::MacAddr mac, buf::MbufPool& pool,
       pool_(pool),
       rx_ring_slots_(rx_ring_slots),
       rings_(1),
-      rx_queue_frames_(1, 0) {}
+      rx_queue_frames_(1, 0) {
+  spare_frames_.reserve(rx_ring_slots_);
+}
 
 void NetDevice::connect(NetDevice& a, NetDevice& b) noexcept {
   a.peer_ = &b;
@@ -127,14 +129,14 @@ void NetDevice::connect(NetDevice& a, NetDevice& b) noexcept {
 void NetDevice::set_rx_queues(std::size_t queues, bool symmetric) {
   LDLP_ASSERT_MSG(queues >= 1, "a device needs at least one RX queue");
   hash_ = FlowHash(symmetric);
-  std::vector<std::deque<std::vector<std::uint8_t>>> old;
+  std::vector<Ring<std::vector<std::uint8_t>>> old;
   old.swap(rings_);
   rings_.resize(queues);
   rx_queue_frames_.assign(queues, 0);
   // Re-steer anything already buffered, oldest first per old queue — the
   // deterministic repartition that makes reconfiguration safe mid-run.
   for (auto& ring : old) {
-    for (auto& bytes : ring) ring_push(std::move(bytes), 0);
+    while (!ring.empty()) ring_push(ring.pop_front(), 0);
   }
 }
 
@@ -170,8 +172,12 @@ bool NetDevice::transmit(buf::Packet frame) noexcept {
   trace_rgn(Rgn::kDevRingMut, 0.5);
   trace_pkt(trace::RefKind::kRead, len);
 
-  std::vector<std::uint8_t> bytes(len);
+  // Back to back, the frame lands in the peer's ring: reuse one of the
+  // buffers that ring has released.
+  NetDevice& memory = tx_sink_ ? *this : *peer_;
+  std::vector<std::uint8_t> bytes = memory.take_frame(len);
   if (!frame.copy_out(0, bytes)) {
+    memory.release_frame(std::move(bytes));
     ++stats_.tx_drops;
     return false;
   }
@@ -191,12 +197,30 @@ bool NetDevice::transmit(buf::Packet frame) noexcept {
   return true;
 }
 
+std::vector<std::uint8_t> NetDevice::take_frame(std::size_t len) {
+  std::vector<std::uint8_t> frame;
+  if (!spare_frames_.empty()) {
+    frame = std::move(spare_frames_.back());
+    spare_frames_.pop_back();
+  } else {
+    frame.reserve(wire::kEthHeaderLen + wire::kEthMaxPayload);
+  }
+  frame.resize(len);
+  return frame;
+}
+
+void NetDevice::release_frame(std::vector<std::uint8_t>&& frame) noexcept {
+  if (spare_frames_.size() < rx_ring_slots_)
+    spare_frames_.push_back(std::move(frame));
+}
+
 void NetDevice::ring_push(std::vector<std::uint8_t> frame_bytes,
                           std::uint32_t reorder_depth) noexcept {
   const std::size_t q = steer(frame_bytes);
   auto& ring = rings_[q];
   if (ring.size() >= rx_ring_slots_) {
     ++stats_.rx_drops;
+    release_frame(std::move(frame_bytes));
     return;
   }
   ring.push_back(std::move(frame_bytes));
@@ -253,7 +277,7 @@ std::size_t NetDevice::clear_rx_ring() noexcept {
   std::size_t lost = 0;
   for (auto& ring : rings_) {
     lost += ring.size();
-    ring.clear();
+    while (!ring.empty()) release_frame(ring.pop_front());
   }
   stats_.rx_drops += lost;
   return lost;
@@ -286,7 +310,7 @@ buf::Packet NetDevice::receive_queue(std::size_t queue) noexcept {
   }
   ++stats_.rx_frames;
   stats_.rx_bytes += bytes.size();
-  ring.pop_front();
+  release_frame(ring.pop_front());
   return pkt;
 }
 

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "buf/packet.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "wire/ethernet.hpp"
 
@@ -214,7 +214,12 @@ class NetDevice {
   std::size_t rx_ring_slots_;
   /// One ring per RX queue, each rx_ring_slots_ deep (per-queue rings,
   /// as on real multi-queue adaptors).
-  std::vector<std::deque<std::vector<std::uint8_t>>> rings_;
+  std::vector<Ring<std::vector<std::uint8_t>>> rings_;
+  /// Frame buffers the RX rings have released (at most rx_ring_slots_).
+  /// A back-to-back peer transmitting to us takes its frame buffer from
+  /// here, so a frame's memory cycles between the two sides instead of
+  /// being allocated per frame and freed on receipt.
+  std::vector<std::vector<std::uint8_t>> spare_frames_;
   std::vector<std::uint64_t> rx_queue_frames_;
   FlowHash hash_;
   NetDevice* peer_ = nullptr;
@@ -228,6 +233,9 @@ class NetDevice {
 
   void ring_push(std::vector<std::uint8_t> frame_bytes,
                  std::uint32_t reorder_depth) noexcept;
+  /// A frame buffer of `len` bytes: a spare if one is left, else new.
+  [[nodiscard]] std::vector<std::uint8_t> take_frame(std::size_t len);
+  void release_frame(std::vector<std::uint8_t>&& frame) noexcept;
 };
 
 }  // namespace ldlp::stack

@@ -71,8 +71,8 @@ void SocketLayer::detach(SocketId id) {
 void SocketLayer::sofree(SocketId id) {
   const std::uint32_t index = index_of(id);
   Socket& socket = sockets_[index];
-  // Reset in place: clear() keeps each deque's first block for the next
-  // tenant instead of freeing it here and allocating it again in create().
+  // Reset in place: clear() keeps each ring's storage for the next tenant
+  // instead of freeing it here and allocating it again.
   socket.stream.clear();
   socket.dgrams.clear();
   socket.dgram_bytes = 0;
@@ -136,13 +136,15 @@ void SocketLayer::process(core::Message msg) {
     // (bounded by the advertised window) and count it.
     ++socket.stats.overflows;
   }
-  // sbappend: copy mbuf bytes into the socket buffer.
-  std::vector<std::uint8_t> bytes(len);
-  if (!msg.packet.copy_out(0, bytes)) return;
+  // sbappend: TCP handed up the received chain itself; its bytes are
+  // copied once, from the mbufs into the socket buffer.
   trace_pkt(trace::RefKind::kRead, len);
-  socket.stream.insert(socket.stream.end(), bytes.begin(), bytes.end());
+  for (const buf::Mbuf* m = msg.packet.head(); m != nullptr; m = m->next()) {
+    if (m->len() == 0) continue;
+    socket.stream.append(m->bytes());
+    if (tap_ != nullptr) tap_->on_stream_append(id, m->bytes());
+  }
   socket.stats.appended_bytes += len;
-  if (tap_ != nullptr) tap_->on_stream_append(id, bytes);
   wake(socket, id);
 }
 
@@ -169,9 +171,8 @@ std::size_t SocketLayer::read(SocketId id, std::span<std::uint8_t> dst) {
   if (live == nullptr) return 0;
   Socket& socket = *live;
   const std::size_t n = std::min(dst.size(), socket.stream.size());
-  std::copy_n(socket.stream.begin(), n, dst.begin());
-  socket.stream.erase(socket.stream.begin(),
-                      socket.stream.begin() + static_cast<std::ptrdiff_t>(n));
+  socket.stream.copy_out(0, dst.first(n));
+  socket.stream.drop_front(n);
   socket.stats.read_bytes += n;
   return n;
 }
@@ -179,8 +180,7 @@ std::size_t SocketLayer::read(SocketId id, std::span<std::uint8_t> dst) {
 std::optional<Datagram> SocketLayer::read_datagram(SocketId id) {
   Socket* socket = resolve(id);
   if (socket == nullptr || socket->dgrams.empty()) return std::nullopt;
-  Datagram out = std::move(socket->dgrams.front());
-  socket->dgrams.pop_front();
+  Datagram out = socket->dgrams.pop_front();
   socket->dgram_bytes -= out.payload.size();
   socket->stats.read_bytes += out.payload.size();
   return out;

@@ -13,13 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "core/stack_graph.hpp"
 
 namespace ldlp::stack {
@@ -58,7 +58,8 @@ struct SocketStats {
 class SocketTap {
  public:
   virtual ~SocketTap() = default;
-  /// Stream bytes appended to `id`'s receive buffer (sbappend).
+  /// Stream bytes appended to `id`'s receive buffer (sbappend), one call
+  /// per mbuf of the delivered chain.
   virtual void on_stream_append(SocketId id,
                                 std::span<const std::uint8_t> bytes) = 0;
   /// Datagram queued on `id` (about to wake the application).
@@ -136,21 +137,15 @@ class SocketLayer final : public core::Layer {
 
  private:
   struct Socket {
-    // Move-only: libstdc++'s std::deque move constructor is not noexcept,
-    // so a copyable Socket would make every growth of sockets_ deep-copy
-    // every socket in the table.
-    Socket() = default;
-    Socket(Socket&&) = default;
-    Socket& operator=(Socket&&) = default;
-
     SocketKind kind = SocketKind::kStream;
     std::size_t hiwat = 0;
     std::uint32_t gen = 0;      ///< Bumped on sofree; stale-handle guard.
     bool live = false;
     bool app_closed = false;    ///< SS_NOFDREF: the application let go.
     bool detached = false;      ///< The protocol let go (so_pcb == 0).
-    std::deque<std::uint8_t> stream;
-    std::deque<Datagram> dgrams;
+    /// Both keep their storage across sofree for the slot's next tenant.
+    ByteRing stream;
+    Ring<Datagram> dgrams;
     std::size_t dgram_bytes = 0;  ///< Payload bytes queued in dgrams.
     std::function<void(SocketId)> wakeup;
     SocketStats stats;

@@ -24,6 +24,12 @@ namespace {
 /// one wheel tick, matching the every-pass retry the legacy scan gave.
 constexpr double kPoolRetrySec = 1e-3;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Drop `n` acknowledged bytes from the front of the send buffer.
+void drop_acked(TcpPcb& p, std::uint32_t n) noexcept {
+  p.send_buffer.drop_front(n);
+  p.sent_bytes -= n;
+}
 }  // namespace
 
 TcpLayer::TcpLayer(Ip4Layer& ip, SocketLayer& sockets, TcpConfig config)
@@ -47,9 +53,17 @@ PcbId TcpLayer::alloc_pcb() {
     free_slots_[w] &= free_slots_[w] - 1;  // clear the lowest set bit
     // A freed slot should have synced its wheel timer away; cancel
     // defensively so a stale callback can never fire for the tenant.
-    if (wheel_ != nullptr && pcbs_[id]->wheel_timer != time::kNoTimer)
-      wheel_->cancel(pcbs_[id]->wheel_timer);
-    *pcbs_[id] = TcpPcb{};
+    TcpPcb& p = *pcbs_[id];
+    if (wheel_ != nullptr && p.wheel_timer != time::kNoTimer)
+      wheel_->cancel(p.wheel_timer);
+    // Reset in place, but hand the tenant the old buffers' storage.
+    ByteRing send_buffer = std::move(p.send_buffer);
+    Ring<RtxSegment> rtx = std::move(p.rtx);
+    send_buffer.clear();
+    rtx.clear();
+    p = TcpPcb{};
+    p.send_buffer = std::move(send_buffer);
+    p.rtx = std::move(rtx);
     return id;
   }
   const auto id = static_cast<PcbId>(pcbs_.size());
@@ -118,7 +132,7 @@ PcbId TcpLayer::connect(std::uint32_t dst_ip, std::uint16_t dst_port) {
   p.rto_sec = cfg_.rto_initial_sec;
   p.last_rcv_time = now();
   p.socket = sockets_.create(SocketKind::kStream);
-  send_segment(id, kSyn, {}, /*retransmission=*/false);
+  send_segment(id, kSyn, 0, /*retransmission=*/false);
   sync_wheel(id);
   return id;
 }
@@ -130,9 +144,8 @@ bool TcpLayer::send(PcbId id, std::span<const std::uint8_t> data) {
       p.state != TcpState::kSynSent && p.state != TcpState::kSynReceived)
     return false;
   if (p.fin_queued) return false;
-  if (p.send_buffer.size() + data.size() > cfg_.send_buffer_bytes)
-    return false;
-  p.send_buffer.insert(p.send_buffer.end(), data.begin(), data.end());
+  if (p.unsent_bytes() + data.size() > cfg_.send_buffer_bytes) return false;
+  p.send_buffer.append(data);
   if (send_tap_) send_tap_(id, data);
   if (p.state == TcpState::kEstablished || p.state == TcpState::kCloseWait)
     try_send_data(id);
@@ -152,6 +165,7 @@ void TcpLayer::close(PcbId id) {
       cancel_timers(p);
       p.rtx.clear();
       p.send_buffer.clear();
+      p.sent_bytes = 0;
       release_pcb(id);
       if (last_pcb_ == id) last_pcb_ = kNoPcb;
       break;
@@ -320,7 +334,7 @@ void TcpLayer::process(core::Message msg) {
     child.socket = sockets_.create(SocketKind::kStream);
     child.unaccepted = true;
     index_.emplace(key_of(child), child_id);
-    send_segment(child_id, static_cast<std::uint8_t>(kSyn | kAck), {},
+    send_segment(child_id, static_cast<std::uint8_t>(kSyn | kAck), 0,
                  /*retransmission=*/false);
     sync_wheel(child_id);  // the guard tracks the listener, not the child
     return;
@@ -351,7 +365,7 @@ void TcpLayer::process(core::Message msg) {
     } else {
       // Simultaneous open.
       p.state = TcpState::kSynReceived;
-      send_segment(id, static_cast<std::uint8_t>(kSyn | kAck), {},
+      send_segment(id, static_cast<std::uint8_t>(kSyn | kAck), 0,
                    /*retransmission=*/true, p.iss);
     }
     return;
@@ -369,21 +383,9 @@ void TcpLayer::process(core::Message msg) {
     ++p.stats.fast_path;
     process_ack(id, header->ack, header->window);
     if (payload_len != 0) {
-      std::vector<std::uint8_t> bytes(payload_len);
-      if (!msg.packet.copy_out(header->header_len(), bytes)) return;
-      if (!deliver_payload(id, std::move(bytes))) return;  // rx pool dry
-      // Drain any out-of-order data this made contiguous. A failed
-      // delivery keeps the entry for the retransmission to land on.
-      auto it = p.ooo.begin();
-      while (it != p.ooo.end() && seq_leq(it->first, p.rcv_nxt)) {
-        if (seq_geq(it->first + it->second.size(), p.rcv_nxt)) {
-          const std::uint32_t skip = p.rcv_nxt - it->first;
-          if (!deliver_payload(id,
-                               {it->second.begin() + skip, it->second.end()}))
-            break;
-        }
-        it = p.ooo.erase(it);
-      }
+      msg.packet.adj(static_cast<std::int32_t>(header->header_len()));
+      deliver_payload(id, std::move(msg.packet));
+      drain_ooo(id);  // any out-of-order data this made contiguous
       // ACK every second data segment (the measured 4.4BSD behaviour).
       ++p.segs_since_ack;
       if (p.segs_since_ack >= cfg_.delack_every) {
@@ -475,35 +477,27 @@ void TcpLayer::process(core::Message msg) {
   if (payload_len != 0 &&
       (p.state == TcpState::kEstablished || p.state == TcpState::kFinWait1 ||
        p.state == TcpState::kFinWait2)) {
-    std::vector<std::uint8_t> bytes(payload_len);
-    if (!msg.packet.copy_out(header->header_len(), bytes)) return;
+    const std::uint32_t hlen = header->header_len();
     if (header->seq == p.rcv_nxt) {
-      if (deliver_payload(id, std::move(bytes))) {
-        auto it = p.ooo.begin();
-        while (it != p.ooo.end() && seq_leq(it->first, p.rcv_nxt)) {
-          if (seq_geq(it->first + it->second.size(), p.rcv_nxt)) {
-            const std::uint32_t skip = p.rcv_nxt - it->first;
-            if (!deliver_payload(
-                    id, {it->second.begin() + skip, it->second.end()}))
-              break;
-          }
-          it = p.ooo.erase(it);
-        }
-      }
-      send_ack(id);  // rcv_nxt unchanged on failed delivery → dup ACK
+      msg.packet.adj(static_cast<std::int32_t>(hlen));
+      deliver_payload(id, std::move(msg.packet));
+      drain_ooo(id);
+      send_ack(id);
     } else if (seq_gt(header->seq, p.rcv_nxt)) {
-      // Out of order: buffer (bounded) and ask for what we need.
+      // Out of order: keep a copy (bounded) and ask for what we need.
       if (p.ooo.size() < 64) {
+        std::vector<std::uint8_t> bytes(payload_len);
+        if (!msg.packet.copy_out(hlen, bytes)) return;
         p.ooo.emplace(header->seq, std::move(bytes));
         ++p.stats.ooo_buffered;
       }
       ++p.stats.dup_acks_sent;
       send_ack(id);
     } else {
-      // Partially duplicate: trim the prefix we already have. On a failed
-      // delivery the ACK repeats the old rcv_nxt, soliciting retransmit.
+      // Partially duplicate: trim the prefix we already have.
       const std::uint32_t skip = p.rcv_nxt - header->seq;
-      (void)deliver_payload(id, {bytes.begin() + skip, bytes.end()});
+      msg.packet.adj(static_cast<std::int32_t>(hlen + skip));
+      deliver_payload(id, std::move(msg.packet));
       send_ack(id);
     }
   }
@@ -515,21 +509,34 @@ void TcpLayer::process(core::Message msg) {
   }
 }
 
-bool TcpLayer::deliver_payload(PcbId id, std::vector<std::uint8_t> bytes) {
+void TcpLayer::deliver_payload(PcbId id, buf::Packet payload) {
   TcpPcb& p = pcb(id);
-  if (bytes.empty()) return true;
-  // Consume sequence space only when the bytes actually reach the socket
-  // path. Advancing rcv_nxt past an allocation failure would ACK data
-  // that was silently dropped — the peer clears its rtx entry and the
-  // hole in the stream becomes unrecoverable. Failing here instead makes
-  // the segment look rx-lost, and the peer's retransmit repairs it.
-  buf::Packet pkt = buf::Packet::from_bytes(ip_.pool(), bytes);
-  if (!pkt) return false;
-  p.rcv_nxt += static_cast<std::uint32_t>(bytes.size());
-  core::Message up(std::move(pkt));
+  const std::uint32_t len = payload.length();
+  if (len == 0) return;  // a partly duplicate FIN segment's empty rest
+  p.rcv_nxt += len;
+  core::Message up(std::move(payload));
   up.flow_id = p.socket;
   emit(std::move(up), 0);
-  return true;
+}
+
+void TcpLayer::drain_ooo(PcbId id) {
+  TcpPcb& p = pcb(id);
+  auto it = p.ooo.begin();
+  while (it != p.ooo.end() && seq_leq(it->first, p.rcv_nxt)) {
+    const auto end = static_cast<std::uint32_t>(it->first + it->second.size());
+    if (seq_gt(end, p.rcv_nxt)) {
+      // Consume sequence space only when the bytes reach the socket path.
+      // Advancing rcv_nxt past an allocation failure would ACK data that
+      // was dropped — the peer clears its rtx entry and the hole in the
+      // stream becomes unrecoverable.
+      const std::uint32_t skip = p.rcv_nxt - it->first;
+      buf::Packet pkt = buf::Packet::from_bytes(
+          ip_.pool(), std::span(it->second).subspan(skip));
+      if (!pkt) break;
+      deliver_payload(id, std::move(pkt));
+    }
+    it = p.ooo.erase(it);
+  }
 }
 
 void TcpLayer::handle_fin(PcbId id) {
@@ -560,15 +567,24 @@ void TcpLayer::process_ack(PcbId id, std::uint32_t ack, std::uint32_t wnd) {
   if (seq_gt(ack, p.snd_una) && seq_leq(ack, p.snd_nxt)) {
     p.snd_una = ack;
     while (!p.rtx.empty()) {
-      const RtxSegment& seg = p.rtx.front();
+      RtxSegment& seg = p.rtx.front();
       const std::uint32_t seg_space =
           seg.len + ((seg.flags & kSyn) != 0 ? 1 : 0) +
           ((seg.flags & kFin) != 0 ? 1 : 0);
       if (seq_leq(seg.seq + seg_space, p.snd_una)) {
+        drop_acked(p, seg.len);
         p.rtx.pop_front();
-      } else {
-        break;
+        continue;
       }
+      if (seq_gt(p.snd_una, seg.seq)) {
+        // Partial ACK: its bytes leave the buffer, and the segment shrinks
+        // to what is still unacked, so a retransmission resends only that.
+        const std::uint32_t acked = p.snd_una - seg.seq;
+        drop_acked(p, acked);
+        seg.seq = p.snd_una;
+        seg.len -= acked;
+      }
+      break;
     }
     p.retries = 0;
     p.rto_sec = cfg_.rto_initial_sec;
@@ -586,25 +602,19 @@ void TcpLayer::try_send_data(PcbId id) {
       p.state != TcpState::kSynReceived)
     return;
 
-  while (!p.send_buffer.empty() &&
+  while (p.unsent_bytes() != 0 &&
          (p.state == TcpState::kEstablished ||
           p.state == TcpState::kCloseWait)) {
     const std::uint32_t window = p.usable_window();
     if (window == 0) break;
     const auto take = static_cast<std::uint32_t>(std::min<std::size_t>(
-        {p.send_buffer.size(), p.mss, window}));
+        {p.unsent_bytes(), p.mss, window}));
     if (take == 0) break;
-    std::vector<std::uint8_t> payload(p.send_buffer.begin(),
-                                      p.send_buffer.begin() + take);
-    // Erase only after the segment is built and queued for rtx — if the
-    // mbuf pool is exhausted the bytes must stay in the send buffer, or
-    // they would fall out of the stream with no retransmit entry to
-    // recover them (on_timer re-attempts once nothing is in flight).
-    if (!send_segment(id, static_cast<std::uint8_t>(kAck | kPsh),
-                      std::move(payload), /*retransmission=*/false))
+    // If the mbuf pool is exhausted the bytes stay unsent; on_timer
+    // re-attempts once nothing is in flight.
+    if (!send_segment(id, static_cast<std::uint8_t>(kAck | kPsh), take,
+                      /*retransmission=*/false))
       return;
-    p.send_buffer.erase(p.send_buffer.begin(),
-                        p.send_buffer.begin() + take);
   }
 
   // Persist: if the peer's window is closed with nothing in flight, no
@@ -612,7 +622,7 @@ void TcpLayer::try_send_data(PcbId id) {
   // state (window open, or data in flight whose ACK will carry a window
   // update) disarms it.
   const bool zero_window_stall =
-      p.snd_wnd == 0 && p.rtx.empty() && !p.send_buffer.empty() &&
+      p.snd_wnd == 0 && p.rtx.empty() && p.unsent_bytes() != 0 &&
       (p.state == TcpState::kEstablished || p.state == TcpState::kCloseWait);
   if (zero_window_stall && cfg_.enable_persist_timer) {
     if (!std::isfinite(p.persist_deadline))
@@ -623,16 +633,16 @@ void TcpLayer::try_send_data(PcbId id) {
 
   // FIN once the buffer drains. State advances only if the FIN actually
   // went out; otherwise fin_queued stays set for a later attempt.
-  if (p.fin_queued && p.send_buffer.empty()) {
+  if (p.fin_queued && p.unsent_bytes() == 0) {
     if (p.state == TcpState::kEstablished ||
         p.state == TcpState::kSynReceived) {
-      if (send_segment(id, static_cast<std::uint8_t>(kFin | kAck), {},
+      if (send_segment(id, static_cast<std::uint8_t>(kFin | kAck), 0,
                        /*retransmission=*/false)) {
         p.state = TcpState::kFinWait1;
         p.fin_queued = false;
       }
     } else if (p.state == TcpState::kCloseWait) {
-      if (send_segment(id, static_cast<std::uint8_t>(kFin | kAck), {},
+      if (send_segment(id, static_cast<std::uint8_t>(kFin | kAck), 0,
                        /*retransmission=*/false)) {
         p.state = TcpState::kLastAck;
         p.fin_queued = false;
@@ -641,8 +651,7 @@ void TcpLayer::try_send_data(PcbId id) {
   }
 }
 
-bool TcpLayer::send_segment(PcbId id, std::uint8_t flags,
-                            std::vector<std::uint8_t> payload,
+bool TcpLayer::send_segment(PcbId id, std::uint8_t flags, std::uint32_t len,
                             bool retransmission,
                             std::uint32_t seq_override) {
   trace_fn(Fn::kTcpOutput);
@@ -665,7 +674,11 @@ bool TcpLayer::send_segment(PcbId id, std::uint8_t flags,
   const std::size_t hlen = wire::write_tcp(header, header_bytes);
   if (hlen == 0) return false;
   if (!pkt.append({header_bytes, hlen})) return false;
-  if (!payload.empty() && !pkt.append(payload)) return false;
+  if (len != 0) {
+    const auto [first, rest] =
+        p.send_buffer.view(retransmission ? 0 : p.sent_bytes, len);
+    if (!pkt.append(first, rest)) return false;
+  }
   pkt.sync_pkt_len();
 
   // Patch the checksum now that everything is in place.
@@ -677,25 +690,23 @@ bool TcpLayer::send_segment(PcbId id, std::uint8_t flags,
   if (!pkt.copy_in(16, sum_bytes)) return false;
 
   ++p.stats.segs_out;
-  if ((flags & kAck) != 0 && payload.empty() &&
+  if ((flags & kAck) != 0 && len == 0 &&
       (flags & (kSyn | kFin)) == 0) {
     ++p.stats.acks_sent;  // pure window/ack segment
   }
 
   if (!retransmission) {
     const std::uint32_t seg_space =
-        static_cast<std::uint32_t>(payload.size()) +
-        ((flags & kSyn) != 0 ? 1 : 0) + ((flags & kFin) != 0 ? 1 : 0);
+        len + ((flags & kSyn) != 0 ? 1 : 0) + ((flags & kFin) != 0 ? 1 : 0);
     if (seg_space != 0) {
-      p.rtx.push_back(RtxSegment{
-          seq, static_cast<std::uint32_t>(payload.size()), flags,
-          std::move(payload)});
+      p.rtx.push_back(RtxSegment{seq, len, flags});
+      p.sent_bytes += len;
       p.snd_nxt = seq + seg_space;
       if (seq_gt(p.snd_nxt, p.snd_max)) p.snd_max = p.snd_nxt;
       if (p.rtx_deadline == std::numeric_limits<double>::infinity())
         p.rtx_deadline = now() + p.rto_sec;
     }
-  } else if (!payload.empty() || (flags & (kSyn | kFin)) != 0) {
+  } else if (len != 0 || (flags & (kSyn | kFin)) != 0) {
     ++p.stats.retransmits;  // pure ACKs resent via this path don't count
   }
 
@@ -708,7 +719,7 @@ bool TcpLayer::send_segment(PcbId id, std::uint8_t flags,
 }
 
 void TcpLayer::send_ack(PcbId id) {
-  send_segment(id, kAck, {}, /*retransmission=*/true,
+  send_segment(id, kAck, 0, /*retransmission=*/true,
                pcb(id).snd_nxt);  // pure ACK consumes no sequence space
 }
 
@@ -774,6 +785,7 @@ void TcpLayer::reset_connection(PcbId id) {
   release_pcb(id);
   p.rtx.clear();
   p.send_buffer.clear();
+  p.sent_bytes = 0;
   p.ooo.clear();
   // Disarm everything: the slot is immediately reusable by alloc_pcb(),
   // and a stale deadline must never fire against the next tenant.
@@ -849,7 +861,7 @@ void TcpLayer::pcb_timer(PcbId id) {
       }
       ++p.keep_probes_sent;
       ++p.stats.keepalive_probes;
-      send_segment(id, kAck, {}, /*retransmission=*/true, p.snd_una - 1);
+      send_segment(id, kAck, 0, /*retransmission=*/true, p.snd_una - 1);
     }
   }
   if (t >= p.persist_deadline) {
@@ -860,18 +872,13 @@ void TcpLayer::pcb_timer(PcbId id) {
     // recovery come for free; try_send_data re-arms if the window is
     // still closed once the probe is ACKed.
     p.persist_deadline = kInf;
-    if (!p.send_buffer.empty() && p.rtx.empty() &&
+    if (p.unsent_bytes() != 0 && p.rtx.empty() &&
         (p.state == TcpState::kEstablished ||
          p.state == TcpState::kCloseWait)) {
       ++p.stats.persist_probes;
-      std::vector<std::uint8_t> probe(p.send_buffer.begin(),
-                                      p.send_buffer.begin() + 1);
-      if (send_segment(id, static_cast<std::uint8_t>(kAck | kPsh),
-                       std::move(probe), /*retransmission=*/false)) {
-        p.send_buffer.pop_front();
-      } else {
+      if (!send_segment(id, static_cast<std::uint8_t>(kAck | kPsh), 1,
+                        /*retransmission=*/false))
         p.persist_deadline = t + p.rto_sec;  // pool dry: retry later
-      }
     }
   }
   if (!p.rtx.empty() && t >= p.rtx_deadline) {
@@ -880,9 +887,8 @@ void TcpLayer::pcb_timer(PcbId id) {
       reset_connection(id);
       return;
     }
-    const RtxSegment& seg = p.rtx.front();
-    send_segment(id, seg.flags, seg.payload, /*retransmission=*/true,
-                 seg.seq);
+    const RtxSegment seg = p.rtx.front();
+    send_segment(id, seg.flags, seg.len, /*retransmission=*/true, seg.seq);
     p.rto_sec = std::min(p.rto_sec * 2.0, cfg_.rto_max_sec);
     p.rtx_deadline = t + p.rto_sec;
   }
@@ -895,11 +901,11 @@ void TcpLayer::pcb_timer(PcbId id) {
   // the kPoolRetrySec deadline earliest_deadline() keeps armed.
   if (p.rtx.empty()) {
     if (p.state == TcpState::kSynSent) {
-      send_segment(id, kSyn, {}, /*retransmission=*/false);
+      send_segment(id, kSyn, 0, /*retransmission=*/false);
     } else if (p.state == TcpState::kSynReceived) {
-      send_segment(id, static_cast<std::uint8_t>(kSyn | kAck), {},
+      send_segment(id, static_cast<std::uint8_t>(kSyn | kAck), 0,
                    /*retransmission=*/false);
-    } else if (!p.send_buffer.empty() || p.fin_queued) {
+    } else if (p.unsent_bytes() != 0 || p.fin_queued) {
       try_send_data(id);
     }
   }
@@ -940,7 +946,7 @@ std::pair<double, time::TimerClass> TcpLayer::earliest_deadline(
   // covers the zero-window stall where try_send_data is a cheap no-op).
   if (p.rtx.empty() &&
       (p.state == TcpState::kSynSent || p.state == TcpState::kSynReceived ||
-       !p.send_buffer.empty() || p.fin_queued)) {
+       p.unsent_bytes() != 0 || p.fin_queued)) {
     consider(now() + kPoolRetrySec, time::TimerClass::kLiveness);
   }
   return {best, cls};

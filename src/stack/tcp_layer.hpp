@@ -147,13 +147,15 @@ class TcpLayer final : public core::Layer {
   [[nodiscard]] PcbId demux(std::uint32_t src_ip, std::uint16_t src_port,
                             std::uint32_t dst_ip, std::uint16_t dst_port);
 
-  /// Transmit a segment: flags + up to `payload_len` bytes taken from the
-  /// send buffer at snd_nxt. Handles rtx queueing. Returns false when the
-  /// segment could not be built (mbuf pool exhausted) — nothing was sent
-  /// or queued, and the caller must keep the bytes for a later attempt.
-  bool send_segment(PcbId id, std::uint8_t flags,
-                    std::vector<std::uint8_t> payload, bool retransmission,
-                    std::uint32_t seq_override = 0);
+  /// Transmit a segment: `flags` plus `len` payload bytes copied from the
+  /// send buffer. New data (not a retransmission) is the first unsent
+  /// bytes, sent at snd_nxt and queued for retransmission; a
+  /// retransmission resends the front of the buffer, the oldest unacked
+  /// bytes, at `seq_override`. Returns false when the segment could not be
+  /// built (mbuf pool exhausted) — nothing was sent or queued, and the
+  /// bytes stay where they were for a later attempt.
+  bool send_segment(PcbId id, std::uint8_t flags, std::uint32_t len,
+                    bool retransmission, std::uint32_t seq_override = 0);
   /// Push send-buffer data within the usable window.
   void try_send_data(PcbId id);
   void send_ack(PcbId id);
@@ -184,10 +186,14 @@ class TcpLayer final : public core::Layer {
   static void cancel_timers(TcpPcb& p) noexcept;
   void reset_connection(PcbId id);
   void process_ack(PcbId id, std::uint32_t ack, std::uint32_t wnd);
-  /// Advance rcv_nxt and pass bytes up toward the socket. Returns false
-  /// (with rcv_nxt untouched) when the rx pool is exhausted — the caller
-  /// must treat the segment as lost so the peer retransmits it.
-  [[nodiscard]] bool deliver_payload(PcbId id, std::vector<std::uint8_t> bytes);
+  /// Advance rcv_nxt past `payload` and hand the chain itself up toward
+  /// the socket (4.4BSD m_adj + sbappend: no copy).
+  void deliver_payload(PcbId id, buf::Packet payload);
+  /// Deliver the out-of-order segments rcv_nxt has reached. Their bytes
+  /// were copied out of their chains, so each needs fresh mbufs; one the
+  /// rx pool cannot hold stays buffered, rcv_nxt untouched, for the
+  /// peer's retransmission to land on.
+  void drain_ooo(PcbId id);
   void handle_fin(PcbId id);
   [[nodiscard]] std::uint16_t advertised_window(const TcpPcb& p) const;
   [[nodiscard]] std::uint32_t next_iss() noexcept;

@@ -11,12 +11,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <string_view>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "stack/socket_layer.hpp"
 
 namespace ldlp::stack {
@@ -79,12 +79,12 @@ struct TcpConfig {
   bool enable_persist_timer = true;
 };
 
-/// A transmitted-but-unacknowledged segment.
+/// A transmitted-but-unacknowledged segment. Its payload bytes stay in
+/// the send buffer until they are acknowledged.
 struct RtxSegment {
   std::uint32_t seq = 0;
   std::uint32_t len = 0;  ///< Payload bytes (SYN/FIN occupy seq space too).
   std::uint8_t flags = 0;
-  std::vector<std::uint8_t> payload;
 };
 
 struct TcpPcbStats {
@@ -119,8 +119,12 @@ struct TcpPcb {
 
   SocketId socket = kNoSocket;
 
-  std::deque<std::uint8_t> send_buffer;   ///< App data not yet segmented.
-  std::deque<RtxSegment> rtx;             ///< In flight, oldest first.
+  /// 4.4BSD so_snd: every byte from snd_una on. The first `sent_bytes`
+  /// are in flight (covered by `rtx`), the rest wait for the window; an
+  /// ACK drops bytes from the front. Keeps its storage across PCB reuse.
+  ByteRing send_buffer;
+  std::uint32_t sent_bytes = 0;
+  Ring<RtxSegment> rtx;  ///< In flight, oldest first.
   double rto_sec = 0.5;
   double rtx_deadline = std::numeric_limits<double>::infinity();
   std::uint32_t retries = 0;
@@ -165,6 +169,10 @@ struct TcpPcb {
                              std::uint16_t dst_port) const noexcept {
     return indexed() && remote_ip == src_ip && remote_port == src_port &&
            local_ip == dst_ip && local_port == dst_port;
+  }
+  /// Bytes the application has queued that have not been sent yet.
+  [[nodiscard]] std::size_t unsent_bytes() const noexcept {
+    return send_buffer.size() - sent_bytes;
   }
   /// Bytes of send window still usable.
   [[nodiscard]] std::uint32_t usable_window() const noexcept {

@@ -62,6 +62,20 @@ TimerId TimerWheel::arm(double deadline_sec, TimerClass cls,
   return id;
 }
 
+void TimerWheel::refile(std::vector<TimerId>& list) {
+  // Swap through the scratch list: `list` takes the scratch's empty
+  // storage, and the scratch keeps `list`'s for the next cascade, so
+  // neither is freed and grown again.
+  refile_.clear();
+  refile_.swap(list);
+  for (const TimerId id : refile_) {
+    if (resolve(id) != nullptr) {
+      ++stats_.cascades;
+      place(id);
+    }
+  }
+}
+
 void TimerWheel::place(TimerId id) {
   const Node& node = nodes_[index_of(id)];
   if (node.tick <= now_tick_) {
@@ -135,8 +149,9 @@ void TimerWheel::advance_to(double now_sec) {
     // the target tick. due_now_ holds timers armed in the past *before*
     // this advance (they fire now); arms-in-past made by callbacks
     // during the firing phase land in due_now_ for the next advance.
-    std::vector<TimerId> due = std::move(due_now_);
-    due_now_.clear();
+    std::vector<TimerId>& due = due_;
+    due.clear();
+    due.swap(due_now_);
 
     while (now_tick_ < target) {
       ++now_tick_;
@@ -146,25 +161,9 @@ void TimerWheel::advance_to(double now_sec) {
         if ((now_tick_ & ((1ull << (kSlotBits * level)) - 1)) != 0) break;
         auto& outer =
             slots_[level][(now_tick_ >> (kSlotBits * level)) & kSlotMask];
-        std::vector<TimerId> refile;
-        refile.swap(outer);
-        for (const TimerId id : refile) {
-          if (resolve(id) != nullptr) {
-            ++stats_.cascades;
-            place(id);
-          }
-        }
-        if (level == kLevels - 1) {
-          // The top level wrapped: overflow timers may now fit.
-          std::vector<TimerId> spill;
-          spill.swap(overflow_);
-          for (const TimerId id : spill) {
-            if (resolve(id) != nullptr) {
-              ++stats_.cascades;
-              place(id);
-            }
-          }
-        }
+        refile(outer);
+        // The top level wrapped: overflow timers may now fit.
+        if (level == kLevels - 1) refile(overflow_);
       }
       auto& slot = slots_[0][now_tick_ & kSlotMask];
       for (const TimerId id : slot) {

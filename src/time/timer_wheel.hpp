@@ -149,6 +149,9 @@ class TimerWheel {
   }
   [[nodiscard]] const Node* resolve(TimerId id) const noexcept;
   void place(TimerId id);  ///< File a live node by its tick delta.
+  /// Re-place every live timer on `list` (a cascading slot or the
+  /// overflow list), leaving `list` empty.
+  void refile(std::vector<TimerId>& list);
   void emit(TimerEvent::Kind kind, const Node& node, TimerId id);
   /// Detach a node (bump gen, free the slot) returning its callback.
   std::function<void()> detach(std::uint32_t index);
@@ -166,6 +169,10 @@ class TimerWheel {
   std::vector<TimerId> slots_[kLevels][kSlots];
   std::vector<TimerId> overflow_;  ///< Beyond the level-3 horizon.
   std::vector<TimerId> due_now_;   ///< Armed-in-past; fire next advance.
+  /// advance_to()'s firing batch and cascade scratch; members so their
+  /// capacity carries over from one advance to the next.
+  std::vector<TimerId> due_;
+  std::vector<TimerId> refile_;
   /// Lazy min-heap over (deadline, id) for next_deadline(); entries for
   /// fired/cancelled timers are peeled on query.
   mutable std::priority_queue<std::pair<double, TimerId>,

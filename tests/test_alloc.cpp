@@ -36,6 +36,10 @@ void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
   const auto a = static_cast<std::size_t>(al);
   return std::aligned_alloc(a, (n + a - 1) / a * a);
 }
+
+// Out of line, so GCC does not see free() meet a new-expression's pointer
+// once a delete is inlined (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -56,17 +60,17 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return operator new(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace ldlp::stack {
@@ -348,13 +352,9 @@ Window measure(Workload& w) {
   return {w.ops - ops0, g_news - news0};
 }
 
-/// Allocations over the measurement window, per schedule (conv, ldlp,
-/// staged), as the stack makes them today: payload vectors, deque blocks
-/// and a heap-allocated frame per transmit.
-constexpr std::array<std::uint64_t, 3> kRequestReplyNews = {17968, 18636,
-                                                            32651};
-constexpr std::array<std::uint64_t, 3> kStreamNews = {242064, 250032, 288220};
-constexpr std::array<std::uint64_t, 3> kChurnNews = {30233, 31564, 53371};
+/// A connection's only allocations: the node of its 4-tuple in each
+/// host's demux index (std::unordered_map), client and server.
+constexpr std::uint64_t kChurnNewsPerConnection = 2;
 
 TEST(AllocGate, RequestReply64MakesNoAllocationPerOp) {
   for (const Sched s : kScheds) {
@@ -363,7 +363,7 @@ TEST(AllocGate, RequestReply64MakesNoAllocationPerOp) {
     const Window win = measure(w);
     EXPECT_TRUE(w.ok) << sched_name(s);
     EXPECT_GT(win.ops, 1000u) << sched_name(s);
-    EXPECT_EQ(win.news, kRequestReplyNews[static_cast<int>(s)])
+    EXPECT_EQ(win.news, 0u)
         << sched_name(s) << ": " << win.news << " allocations over "
         << win.ops << " ops";
   }
@@ -376,7 +376,7 @@ TEST(AllocGate, Stream1460MakesNoAllocationPerOp) {
     const Window win = measure(w);
     EXPECT_TRUE(w.ok) << sched_name(s);
     EXPECT_GT(win.ops, 10000u) << sched_name(s);
-    EXPECT_EQ(win.news, kStreamNews[static_cast<int>(s)])
+    EXPECT_EQ(win.news, 0u)
         << sched_name(s) << ": " << win.news << " allocations over "
         << win.ops << " ops";
   }
@@ -388,7 +388,7 @@ TEST(AllocGate, ChurnCostsAFixedCountPerConnection) {
     const Window win = measure(w);
     EXPECT_TRUE(w.ok) << sched_name(s);
     EXPECT_GT(win.ops, 500u) << sched_name(s);
-    EXPECT_EQ(win.news, kChurnNews[static_cast<int>(s)])
+    EXPECT_EQ(win.news, kChurnNewsPerConnection * win.ops)
         << sched_name(s) << ": " << win.news << " allocations over "
         << win.ops << " connections";
   }

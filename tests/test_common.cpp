@@ -182,22 +182,93 @@ TEST(LogHistogram, MergeAddsCounts) {
 }
 
 TEST(Ring, PushPopFifo) {
-  Ring<int, 4> ring;
+  Ring<int> ring;
   EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.push(i));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.push(99));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop().value(), i);
-  EXPECT_FALSE(ring.pop().has_value());
+  EXPECT_EQ(ring.capacity(), 0u);
+  for (int i = 0; i < 4; ++i) ring.push_back(i);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.front(), 0);
+  EXPECT_EQ(ring[3], 3);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop_front(), i);
+  EXPECT_TRUE(ring.empty());
 }
 
-TEST(Ring, WrapsAround) {
-  Ring<int, 3> ring;
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(ring.push(round));
-    EXPECT_EQ(ring.pop().value(), round);
+TEST(Ring, WrapsAroundWithoutGrowing) {
+  Ring<int> ring;
+  ring.reserve(3);
+  const std::size_t cap = ring.capacity();
+  for (int round = 0; round < 100; ++round) {
+    ring.push_back(round);
+    ring.push_back(round + 1000);
+    EXPECT_EQ(ring.pop_front(), round);
+    EXPECT_EQ(ring.pop_front(), round + 1000);
   }
   EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap);
+}
+
+TEST(Ring, GrowsWhileWrappedAndKeepsOrder) {
+  Ring<int> ring;
+  for (int i = 0; i < 8; ++i) ring.push_back(i);
+  ASSERT_EQ(ring.capacity(), 8u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ring.pop_front(), i);
+  for (int i = 8; i < 13; ++i) ring.push_back(i);  // wraps: head at slot 5
+  ring.push_back(13);                              // full and wrapped: grows
+  EXPECT_EQ(ring.capacity(), 16u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring[i], static_cast<int>(i) + 5);
+  for (int i = 5; i < 14; ++i) EXPECT_EQ(ring.pop_front(), i);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, ClearKeepsStorageAndReleasesElements) {
+  Ring<std::vector<int>> ring;
+  for (int i = 0; i < 20; ++i) ring.push_back(std::vector<int>(4, i));
+  const std::size_t cap = ring.capacity();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap);
+  ring.push_back({7});
+  EXPECT_EQ(ring.front(), std::vector<int>{7});
+}
+
+TEST(ByteRing, AppendViewAndDropAcrossTheWrap) {
+  ByteRing ring;
+  std::vector<std::uint8_t> model;
+  std::uint8_t next = 0;
+  // Append and drop in uneven steps so the window walks round the array,
+  // wrapping at every offset, then grows while wrapped.
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> chunk(static_cast<std::size_t>(round % 37 + 1));
+    for (std::uint8_t& b : chunk) b = next++;
+    ring.append(chunk);
+    model.insert(model.end(), chunk.begin(), chunk.end());
+    const std::size_t drop = std::min<std::size_t>(model.size(), round % 29);
+    ring.drop_front(drop);
+    model.erase(model.begin(), model.begin() + static_cast<std::ptrdiff_t>(drop));
+    ASSERT_EQ(ring.size(), model.size());
+    std::vector<std::uint8_t> out(model.size());
+    ring.copy_out(0, out);
+    ASSERT_EQ(out, model) << "round " << round;
+    if (model.size() > 3) {
+      const auto [a, b] = ring.view(2, model.size() - 3);
+      std::vector<std::uint8_t> joined(a.begin(), a.end());
+      joined.insert(joined.end(), b.begin(), b.end());
+      EXPECT_EQ(joined, std::vector<std::uint8_t>(model.begin() + 2,
+                                                  model.end() - 1));
+    }
+  }
+  // Drain to empty: the ring is reusable and its storage stays.
+  const std::size_t cap = ring.capacity();
+  ring.drop_front(ring.size());
+  EXPECT_TRUE(ring.empty());
+  const std::uint8_t tail[] = {1, 2, 3};
+  ring.append(tail);
+  std::uint8_t out[3] = {};
+  ring.copy_out(0, out);
+  EXPECT_EQ(out[0], 1);
+  EXPECT_EQ(out[2], 3);
+  EXPECT_EQ(ring.capacity(), cap);
 }
 
 struct Node {

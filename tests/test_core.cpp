@@ -280,8 +280,9 @@ TEST(Blocking, PropertiesOverRandomFootprints) {
     EXPECT_GE(est2.batch_limit, est.batch_limit) << "trial " << trial;
 
     // Degenerate: one message alone overflowing the D-cache forces 1.
-    if (fp.message_bytes >= dcache_bytes)
+    if (fp.message_bytes >= dcache_bytes) {
       EXPECT_EQ(est.batch_limit, 1u) << "trial " << trial;
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byteorder.hpp"
 #include "stack/host.hpp"
 #include "wire/checksum.hpp"
 #include "wire/tcp.hpp"
@@ -78,18 +79,25 @@ struct TcpPair {
   void inject_to_server(std::uint16_t src_port, std::uint16_t dst_port,
                         std::uint32_t seq, std::uint32_t ack,
                         std::uint8_t flags) {
+    inject_segment(*client, *server, src_port, dst_port, seq, ack, flags);
+  }
+
+  /// The same for any direction: a segment `from` -> `to`.
+  static void inject_segment(Host& from, Host& to, std::uint16_t src_port,
+                             std::uint16_t dst_port, std::uint32_t seq,
+                             std::uint32_t ack, std::uint8_t flags) {
     constexpr std::size_t kTcpOff = wire::kEthHeaderLen + wire::kIpMinHeaderLen;
     std::vector<std::uint8_t> frame(kTcpOff + wire::kTcpMinHeaderLen);
     wire::EthHeader eth;
-    eth.dst = server->device().mac();
-    eth.src = client->device().mac();
+    eth.dst = to.device().mac();
+    eth.src = from.device().mac();
     eth.ether_type = static_cast<std::uint16_t>(wire::EtherType::kIpv4);
     wire::write_eth(eth, frame);
     wire::Ipv4Header ip;
     ip.total_len = wire::kIpMinHeaderLen + wire::kTcpMinHeaderLen;
     ip.protocol = static_cast<std::uint8_t>(wire::IpProto::kTcp);
-    ip.src = client->ip().ip_addr();
-    ip.dst = server->ip().ip_addr();
+    ip.src = from.ip().ip_addr();
+    ip.dst = to.ip().ip_addr();
     wire::write_ipv4(ip, {frame.data() + wire::kEthHeaderLen,
                           wire::kIpMinHeaderLen});
     wire::TcpHeader tcp;
@@ -108,7 +116,7 @@ struct TcpPair {
     const std::uint16_t sum = acc.finish();
     frame[kTcpOff + 16] = static_cast<std::uint8_t>(sum >> 8);
     frame[kTcpOff + 17] = static_cast<std::uint8_t>(sum & 0xff);
-    server->device().inject(frame);
+    to.device().inject(frame);
   }
 };
 
@@ -414,6 +422,183 @@ TEST(TcpPools, NoMbufLeakAcrossSession) {
                   net.server->pool().stats().mbufs_outstanding();
   }
   EXPECT_EQ(outstanding, 0u);
+}
+
+// ---- Send buffer and zero-copy delivery ------------------------------------
+
+/// A TCP segment as it left on the wire.
+struct WireSegment {
+  std::uint32_t seq = 0;
+  std::uint8_t flags = 0;
+  std::vector<std::uint8_t> payload;
+};
+
+WireSegment segment_of(std::span<const std::uint8_t> frame) {
+  constexpr std::size_t kIpOff = wire::kEthHeaderLen;
+  constexpr std::size_t kTcpOff = kIpOff + wire::kIpMinHeaderLen;
+  const auto header = wire::parse_tcp(frame.subspan(kTcpOff));
+  EXPECT_TRUE(header.has_value());
+  if (!header) return {};
+  const std::size_t ip_len = load_be16(frame.data() + kIpOff + 2);
+  const std::size_t data_off = kTcpOff + header->header_len();
+  const std::size_t data_len = ip_len - wire::kIpMinHeaderLen -
+                               header->header_len();
+  return {header->seq, header->flags,
+          {frame.begin() + static_cast<std::ptrdiff_t>(data_off),
+           frame.begin() + static_cast<std::ptrdiff_t>(data_off + data_len)}};
+}
+
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> data(n);
+  for (std::size_t i = 0; i < n; ++i)
+    data[i] = static_cast<std::uint8_t>(i * 31 + i / 251);
+  return data;
+}
+
+TEST(TcpSendBuffer, PartialAckRetransmitsOnlyTheUnackedBytes) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  // Capture what the client transmits instead of delivering it.
+  std::vector<std::vector<std::uint8_t>> frames;
+  net.client->device().set_tx_sink([&](std::vector<std::uint8_t>&& frame) {
+    frames.push_back(std::move(frame));
+    return true;
+  });
+  const std::vector<std::uint8_t> data = pattern(100);
+  const TcpPcb& p = net.client->tcp().pcb_view(net.conn);
+  const std::uint32_t una = p.snd_una;
+  ASSERT_TRUE(net.client->tcp().send(net.conn, data));
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(segment_of(frames[0]).payload, data);
+
+  // The peer acknowledges the segment's first 40 bytes: they leave the
+  // send buffer, and the segment in flight shrinks to the other 60.
+  TcpPair::inject_segment(*net.server, *net.client, p.remote_port,
+                          p.local_port, p.rcv_nxt, una + 40,
+                          wire::tcpflags::kAck);
+  net.client->pump();
+  EXPECT_EQ(p.snd_una, una + 40);
+  EXPECT_EQ(p.send_buffer.size(), 60u);
+  EXPECT_EQ(p.sent_bytes, 60u);
+  ASSERT_EQ(p.rtx.size(), 1u);
+  EXPECT_EQ(p.rtx.front().seq, una + 40);
+  EXPECT_EQ(p.rtx.front().len, 60u);
+
+  // The retransmission carries exactly the unacknowledged bytes.
+  frames.clear();
+  net.client->advance(1.0);
+  ASSERT_EQ(frames.size(), 1u);
+  const WireSegment rtx = segment_of(frames[0]);
+  EXPECT_EQ(rtx.seq, una + 40);
+  EXPECT_EQ(rtx.payload, std::vector<std::uint8_t>(data.begin() + 40,
+                                                   data.end()));
+  EXPECT_EQ(net.client->tcp().pcb_stats(net.conn).retransmits, 1u);
+}
+
+TEST(TcpSendBuffer, PersistProbeSendsTheFirstUnsentByteOnce) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  // Nobody reads at the server, so its window closes with data unsent.
+  const std::vector<std::uint8_t> data = pattern(40000);
+  ASSERT_TRUE(net.client->tcp().send(net.conn, data));
+  for (int i = 0; i < 20; ++i) net.tick(0.01);
+  const TcpPcb& p = net.client->tcp().pcb_view(net.conn);
+  ASSERT_EQ(p.snd_wnd, 0u);
+  ASSERT_TRUE(p.rtx.empty());
+  const std::size_t unsent = p.unsent_bytes();
+  ASSERT_GT(unsent, 0u);
+  EXPECT_EQ(p.send_buffer.size(), unsent);  // everything sent is acked
+  const std::uint32_t next = p.snd_nxt;
+
+  // The persist timer fires: the probe is the first unsent byte. It is
+  // sent once and stays in the buffer until acknowledged.
+  net.client->advance(1.0);
+  EXPECT_EQ(net.client->tcp().pcb_stats(net.conn).persist_probes, 1u);
+  ASSERT_EQ(p.rtx.size(), 1u);
+  EXPECT_EQ(p.rtx.front().seq, next);
+  EXPECT_EQ(p.rtx.front().len, 1u);
+  EXPECT_EQ(p.sent_bytes, 1u);
+  EXPECT_EQ(p.unsent_bytes(), unsent - 1);
+  EXPECT_EQ(p.send_buffer.size(), unsent);
+
+  // Drain the receiver: every byte arrives once, in order.
+  std::vector<std::uint8_t> got;
+  for (int i = 0; i < 2000 && got.size() < data.size(); ++i) {
+    net.tick(0.05);
+    const std::vector<std::uint8_t> chunk = net.drain_server_socket(8192);
+    got.insert(got.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_EQ(got, data);
+  EXPECT_TRUE(p.send_buffer.empty());
+}
+
+TEST(TcpSendBuffer, PoolExhaustionMidStreamLosesNoByte) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const std::vector<std::uint8_t> data = pattern(60000);
+  std::vector<std::uint8_t> got;
+  std::size_t sent = 0;
+  const auto run = [&](int rounds) {
+    for (int i = 0; i < rounds && got.size() < data.size(); ++i) {
+      const std::size_t n = std::min<std::size_t>(3 * 1460, data.size() - sent);
+      if (n != 0 && net.client->tcp().send(
+                        net.conn, std::span(data).subspan(sent, n)))
+        sent += n;
+      net.tick(0.01);
+      const std::vector<std::uint8_t> chunk = net.drain_server_socket(65536);
+      got.insert(got.end(), chunk.begin(), chunk.end());
+    }
+  };
+  run(10);
+  ASSERT_GT(got.size(), 0u);
+  ASSERT_LT(got.size(), data.size());
+
+  // Run both pools dry mid-stream: no segment can be built, no ACK or
+  // frame can leave device memory, and retransmissions fail too.
+  std::vector<buf::Packet> held;
+  for (Host* h : {net.client.get(), net.server.get()}) {
+    while (buf::Packet pkt = buf::Packet::make(h->pool()))
+      held.push_back(std::move(pkt));
+  }
+  run(40);
+  EXPECT_GT(net.client->pool().stats().alloc_failures, 0u);
+  EXPECT_GT(net.server->pool().stats().alloc_failures, 0u);
+
+  held.clear();
+  run(4000);
+  EXPECT_EQ(got, data);
+}
+
+/// Records every byte the socket layer appends, and how many calls it took.
+struct RecordingTap final : SocketTap {
+  void on_stream_append(SocketId,
+                        std::span<const std::uint8_t> bytes) override {
+    appended.insert(appended.end(), bytes.begin(), bytes.end());
+    ++calls;
+  }
+  void on_datagram(SocketId, const Datagram&) override {}
+
+  std::vector<std::uint8_t> appended;
+  std::size_t calls = 0;
+};
+
+TEST(TcpDelivery, SocketTapSeesEachByteOnceAcrossMultiMbufChains) {
+  for (const core::SchedMode mode :
+       {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {
+    TcpPair net(mode);
+    ASSERT_TRUE(net.establish());
+    RecordingTap tap;
+    net.server->sockets().set_tap(&tap);
+    // Six full-size segments. The device copies each 1514-byte frame into
+    // a header mbuf and a cluster, and TCP hands that chain up trimmed of
+    // its headers, so each segment's payload spans two mbufs.
+    const std::vector<std::uint8_t> data = pattern(6 * 1460);
+    ASSERT_TRUE(net.client->tcp().send(net.conn, data));
+    net.settle();
+    EXPECT_EQ(tap.appended, data);
+    EXPECT_EQ(tap.calls, 12u);
+    EXPECT_EQ(net.drain_server_socket(data.size() + 1), data);
+  }
 }
 
 TEST(TcpClose, NoRetransmitTimerFiresAfterAbort) {

@@ -279,7 +279,8 @@ class Churn {
  public:
   explicit Churn(Sched sched) : rig_(sched) {
     rig_.server->tcp().set_accept_hook([this](PcbId id) {
-      served_[served_n_++] = id;
+      ok &= served_n_ < served_.size();
+      if (served_n_ < served_.size()) served_[served_n_++] = id;
     });
   }
 

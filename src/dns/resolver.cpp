@@ -1,7 +1,6 @@
 #include "dns/resolver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -165,17 +164,7 @@ void DnsResolver::sync_wheel() {
   for (const auto& [name, inflight] : inflight_)
     due = std::min(due, inflight.deadline);
   next_due_ = due;
-  time::TimerWheel& wheel = host_.wheel();
-  if (!std::isfinite(due)) {
-    if (wake_ != time::kNoTimer) {
-      wheel.cancel(wake_);
-      wake_ = time::kNoTimer;
-    }
-    return;
-  }
-  if (wake_ != time::kNoTimer && wheel.deadline_of(wake_) == due) return;
-  if (wake_ != time::kNoTimer) wheel.cancel(wake_);
-  wake_ = wheel.arm(due, time::TimerClass::kLiveness, [] {});
+  wake_ = host_.wheel().rearm(wake_, due, time::TimerClass::kLiveness, [] {});
 }
 
 void DnsResolver::poll() {

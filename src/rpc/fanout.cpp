@@ -1,7 +1,6 @@
 #include "rpc/fanout.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -298,17 +297,7 @@ FanoutClient::~FanoutClient() {
 
 void FanoutClient::arm_wake(double due) {
   next_due_ = due;
-  time::TimerWheel& wheel = host_.wheel();
-  if (!std::isfinite(due)) {
-    if (wake_ != time::kNoTimer) {
-      wheel.cancel(wake_);
-      wake_ = time::kNoTimer;
-    }
-    return;
-  }
-  if (wake_ != time::kNoTimer && wheel.deadline_of(wake_) == due) return;
-  if (wake_ != time::kNoTimer) wheel.cancel(wake_);
-  wake_ = wheel.arm(due, time::TimerClass::kLiveness, [] {});
+  wake_ = host_.wheel().rearm(wake_, due, time::TimerClass::kLiveness, [] {});
 }
 
 void FanoutClient::connect_all() {

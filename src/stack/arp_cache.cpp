@@ -80,13 +80,6 @@ std::vector<std::uint32_t> ArpCache::poll_retries(double now) {
       ++it;
       continue;
     }
-    if (state.retry_deadline == 0.0) {
-      // First timer pass after the park: arm only. The park itself
-      // already sent a request; the timer exists for when that one dies.
-      state.retry_deadline = now + state.retry_gap_sec;
-      ++it;
-      continue;
-    }
     if (now < state.retry_deadline) {
       ++it;
       continue;

@@ -63,9 +63,8 @@ class ArpCache {
   /// resolution failure, as BSD's EHOSTDOWN, not a leak.
   [[nodiscard]] std::vector<std::uint32_t> poll_retries(double now);
 
-  /// Wheel-driven variant of the first-pass arming poll_retries does:
-  /// arm the retry deadline at park time so the owner can file it on a
-  /// timer wheel instead of scanning. Idempotent while already armed.
+  /// Arm the retry deadline at park time so the owner can file it on its
+  /// timer wheel. Idempotent while already armed.
   void arm_retry(std::uint32_t ip, double now);
 
   /// Earliest armed retry deadline across parked IPs, +inf when none —
@@ -98,7 +97,7 @@ class ArpCache {
     std::uint32_t parks = 0;          ///< Packets parked since creation.
     std::uint32_t next_request = 1;   ///< Park count of the next request.
     std::uint32_t gap = 2;            ///< Current backoff gap, doubling.
-    double retry_deadline = 0.0;      ///< 0 = not yet armed by the timer.
+    double retry_deadline = 0.0;      ///< 0 = not yet armed (arm_retry).
     double retry_gap_sec = 0.5;       ///< Timer backoff, doubling to cap.
     std::uint32_t tries = 0;          ///< Timer retries issued so far.
   };

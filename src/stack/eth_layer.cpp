@@ -1,7 +1,5 @@
 #include "stack/eth_layer.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 #include "stack/footprints.hpp"
 #include "stack/igmp.hpp"
@@ -9,8 +7,9 @@
 
 namespace ldlp::stack {
 
-EthLayer::EthLayer(NetDevice& device, std::uint32_t my_ip)
-    : core::Layer("ethernet"), device_(device), my_ip_(my_ip) {}
+EthLayer::EthLayer(NetDevice& device, std::uint32_t my_ip,
+                   time::TimerWheel& wheel)
+    : core::Layer("ethernet"), device_(device), my_ip_(my_ip), wheel_(wheel) {}
 
 void EthLayer::process(core::Message msg) {
   trace_fn(Fn::kEtherInput);
@@ -133,12 +132,8 @@ void EthLayer::output_ip(buf::Packet datagram, std::uint32_t next_hop_ip) {
     if (arp_.should_request(next_hop_ip)) {
       send_arp(wire::ArpOp::kRequest, next_hop_ip, {});
     }
-    if (wheel_ != nullptr) {
-      // Wheel mode arms the retry deadline at park time (the legacy
-      // scan armed it one pass later — a sub-tick difference).
-      arp_.arm_retry(next_hop_ip, wheel_->now());
-      resync_wheel();
-    }
+    arp_.arm_retry(next_hop_ip, wheel_.now());
+    resync_wheel();
     return;
   }
   send_frame(std::move(datagram), *mac, wire::EtherType::kIpv4);
@@ -152,21 +147,9 @@ void EthLayer::on_timer(double now) {
 }
 
 void EthLayer::resync_wheel() {
-  if (wheel_ == nullptr) return;
-  const double deadline = arp_.next_retry_deadline();
-  if (!std::isfinite(deadline)) {
-    if (arp_timer_ != time::kNoTimer) {
-      wheel_->cancel(arp_timer_);
-      arp_timer_ = time::kNoTimer;
-    }
-    return;
-  }
-  if (arp_timer_ != time::kNoTimer &&
-      wheel_->deadline_of(arp_timer_) == deadline)
-    return;
-  if (arp_timer_ != time::kNoTimer) wheel_->cancel(arp_timer_);
-  arp_timer_ = wheel_->arm(deadline, time::TimerClass::kLiveness,
-                           [this] { on_timer(wheel_->now()); });
+  arp_timer_ = wheel_.rearm(arp_timer_, arp_.next_retry_deadline(),
+                            time::TimerClass::kLiveness,
+                            [this] { on_timer(wheel_.now()); });
 }
 
 }  // namespace ldlp::stack

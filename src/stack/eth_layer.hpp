@@ -28,21 +28,13 @@ struct EthLayerStats {
 
 class EthLayer final : public core::Layer {
  public:
-  EthLayer(NetDevice& device, std::uint32_t my_ip);
+  /// ARP retries ride one consolidated timer on `wheel`, armed at the
+  /// cache's earliest retry deadline.
+  EthLayer(NetDevice& device, std::uint32_t my_ip, time::TimerWheel& wheel);
 
   /// Send an IP datagram (IP header already built) to `next_hop_ip`.
   /// Resolves via ARP; parks the packet and emits a request on a miss.
   void output_ip(buf::Packet datagram, std::uint32_t next_hop_ip);
-
-  /// Re-request stalled ARP resolutions (and expire hopeless ones).
-  /// Wheel-attached hosts get this from the wheel; wheel-less tests may
-  /// still call it per pass with their own clock.
-  void on_timer(double now);
-
-  /// Attach the host's timer wheel: ARP retries ride one consolidated
-  /// wheel timer armed at the cache's earliest retry deadline instead of
-  /// being found by a per-pass scan.
-  void set_wheel(time::TimerWheel* wheel) noexcept { wheel_ = wheel; }
 
   /// Reconcile the consolidated retry timer with the cache — needed
   /// after out-of-band cache surgery (Host::restart flushes the cache,
@@ -60,6 +52,9 @@ class EthLayer final : public core::Layer {
   void process(core::Message msg) override;
 
  private:
+  /// The retry timer's handler: re-request stalled ARP resolutions (and
+  /// expire hopeless ones).
+  void on_timer(double now);
   void handle_arp(buf::Packet pkt);
   void send_arp(wire::ArpOp op, std::uint32_t target_ip,
                 const wire::MacAddr& target_mac);
@@ -69,7 +64,7 @@ class EthLayer final : public core::Layer {
   NetDevice& device_;
   std::uint32_t my_ip_;
   ArpCache arp_;
-  time::TimerWheel* wheel_ = nullptr;
+  time::TimerWheel& wheel_;
   time::TimerId arp_timer_ = time::kNoTimer;
   EthLayerStats stats_;
 };

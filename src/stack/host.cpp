@@ -9,16 +9,14 @@ Host::Host(HostConfig config)
     : cfg_(std::move(config)),
       pool_(cfg_.pool_mbufs, cfg_.pool_clusters),
       dev_(cfg_.name + ".le0", cfg_.mac, pool_) {
-  eth_ = std::make_unique<EthLayer>(dev_, cfg_.ip);
+  eth_ = std::make_unique<EthLayer>(dev_, cfg_.ip, wheel_);
   ip_ = std::make_unique<Ip4Layer>(*eth_, cfg_.ip, cfg_.mtu);
   sock_ = std::make_unique<SocketLayer>();
-  tcp_ = std::make_unique<TcpLayer>(*ip_, *sock_, cfg_.tcp);
+  tcp_ = std::make_unique<TcpLayer>(*ip_, *sock_, wheel_, cfg_.tcp);
   udp_ = std::make_unique<UdpLayer>(*ip_, *sock_);
 
   ip_->set_clock(&now_);
   tcp_->set_clock(&now_);
-  tcp_->set_wheel(&wheel_);
-  eth_->set_wheel(&wheel_);
   igmp_ = std::make_unique<IgmpHost>(*ip_, &now_, wheel_);
   ip_->set_igmp(igmp_.get());
 

@@ -21,8 +21,8 @@ using wire::tcpflags::kSyn;
 
 namespace {
 /// Cadence for re-attempting a segment whose mbuf allocation failed:
-/// one wheel tick, matching the every-pass retry the legacy scan gave.
-constexpr double kPoolRetrySec = 1e-3;
+/// one wheel tick.
+constexpr double kPoolRetrySec = time::TimerWheel::kTickSec;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Drop `n` acknowledged bytes from the front of the send buffer.
@@ -32,8 +32,13 @@ void drop_acked(TcpPcb& p, std::uint32_t n) noexcept {
 }
 }  // namespace
 
-TcpLayer::TcpLayer(Ip4Layer& ip, SocketLayer& sockets, TcpConfig config)
-    : core::Layer("tcp"), ip_(ip), sockets_(sockets), cfg_(config) {}
+TcpLayer::TcpLayer(Ip4Layer& ip, SocketLayer& sockets,
+                   time::TimerWheel& wheel, TcpConfig config)
+    : core::Layer("tcp"),
+      ip_(ip),
+      sockets_(sockets),
+      wheel_(wheel),
+      cfg_(config) {}
 
 TcpPcb& TcpLayer::pcb(PcbId id) {
   LDLP_ASSERT_MSG(id < pcbs_.size(), "bad pcb id");
@@ -54,8 +59,7 @@ PcbId TcpLayer::alloc_pcb() {
     // A freed slot should have synced its wheel timer away; cancel
     // defensively so a stale callback can never fire for the tenant.
     TcpPcb& p = *pcbs_[id];
-    if (wheel_ != nullptr && p.wheel_timer != time::kNoTimer)
-      wheel_->cancel(p.wheel_timer);
+    wheel_.cancel(p.wheel_timer);
     // Reset in place, but hand the tenant the old buffers' storage.
     ByteRing send_buffer = std::move(p.send_buffer);
     Ring<RtxSegment> rtx = std::move(p.rtx);
@@ -610,7 +614,7 @@ void TcpLayer::try_send_data(PcbId id) {
     const auto take = static_cast<std::uint32_t>(std::min<std::size_t>(
         {p.unsent_bytes(), p.mss, window}));
     if (take == 0) break;
-    // If the mbuf pool is exhausted the bytes stay unsent; on_timer
+    // If the mbuf pool is exhausted the bytes stay unsent; pcb_timer
     // re-attempts once nothing is in flight.
     if (!send_segment(id, static_cast<std::uint8_t>(kAck | kPsh), take,
                       /*retransmission=*/false))
@@ -804,16 +808,11 @@ void TcpLayer::crash() {
   // the wiped PCBs. The sockets are the socket layer's to free.
   for (PcbId id = 0; id < pcbs_.size(); ++id) {
     TcpPcb& p = *pcbs_[id];
-    if (wheel_ != nullptr && p.wheel_timer != time::kNoTimer)
-      wheel_->cancel(p.wheel_timer);
+    wheel_.cancel(p.wheel_timer);
     if (!p.is_free()) release_pcb(id);
     p = TcpPcb{};
   }
   last_pcb_ = kNoPcb;
-}
-
-void TcpLayer::on_timer() {
-  for (PcbId id = 0; id < pcbs_.size(); ++id) pcb_timer(id);
 }
 
 void TcpLayer::pcb_timer(PcbId id) {
@@ -953,22 +952,10 @@ std::pair<double, time::TimerClass> TcpLayer::earliest_deadline(
 }
 
 void TcpLayer::sync_wheel(PcbId id) {
-  if (wheel_ == nullptr) return;
   TcpPcb& p = pcb(id);
   const auto [deadline, cls] = earliest_deadline(p);
-  if (!std::isfinite(deadline)) {
-    if (p.wheel_timer != time::kNoTimer) {
-      wheel_->cancel(p.wheel_timer);
-      p.wheel_timer = time::kNoTimer;
-    }
-    return;
-  }
-  // Unchanged earliest deadline: the armed timer is already right.
-  if (p.wheel_timer != time::kNoTimer &&
-      wheel_->deadline_of(p.wheel_timer) == deadline)
-    return;
-  if (p.wheel_timer != time::kNoTimer) wheel_->cancel(p.wheel_timer);
-  p.wheel_timer = wheel_->arm(deadline, cls, [this, id] { pcb_timer(id); });
+  p.wheel_timer = wheel_.rearm(p.wheel_timer, deadline, cls,
+                               [this, id] { pcb_timer(id); });
 }
 
 bool TcpLayer::audit(std::string* why) const {

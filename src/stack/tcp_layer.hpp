@@ -35,16 +35,12 @@ struct TcpLayerStats {
 
 class TcpLayer final : public core::Layer {
  public:
-  TcpLayer(Ip4Layer& ip, SocketLayer& sockets, TcpConfig config = {});
+  /// Every PCB keeps one consolidated timer on `wheel`, armed at its
+  /// earliest pending deadline; the wheel drives per-PCB timer work.
+  TcpLayer(Ip4Layer& ip, SocketLayer& sockets, time::TimerWheel& wheel,
+           TcpConfig config = {});
 
   void set_clock(const double* now_sec) noexcept { now_sec_ = now_sec; }
-
-  /// Attach the host's timer wheel: every PCB keeps one consolidated
-  /// wheel timer armed at its earliest pending deadline, and the wheel
-  /// drives per-PCB timer work instead of a per-pass scan over every
-  /// PCB. Without a wheel (standalone tests) on_timer() keeps the old
-  /// scan semantics.
-  void set_wheel(time::TimerWheel* wheel) noexcept { wheel_ = wheel; }
 
   /// Passive open. Connections accepted on this port get fresh PCBs and
   /// sockets; `on_accept` (if set) fires when they reach ESTABLISHED. A
@@ -74,11 +70,6 @@ class TcpLayer final : public core::Layer {
   /// by SocketLayer::crash(). Layer-level counters survive; they describe
   /// the machine, not the incarnation.
   void crash();
-
-  /// Drive retransmit / delayed-ACK / TIME_WAIT timers for every PCB
-  /// (legacy per-pass scan; wheel-attached hosts get the same work per
-  /// PCB from wheel fires instead). Safe to call in either mode.
-  void on_timer();
 
   /// One PCB's timer work: TIME_WAIT expiry, delayed ACK, keepalive,
   /// persist probe, retransmit, mbuf-exhaustion re-attempt. This is the
@@ -171,8 +162,8 @@ class TcpLayer final : public core::Layer {
       const TcpPcb& p) const;
   /// Reconcile the PCB's consolidated wheel timer with its deadline
   /// fields: cancel/arm so exactly the earliest pending deadline is
-  /// armed. No-op without a wheel. Called from every entry point that
-  /// can create or shorten a deadline.
+  /// armed. Called from every entry point that can create or shorten a
+  /// deadline.
   void sync_wheel(PcbId id);
   /// RAII: sync_wheel on every exit path of process().
   struct WheelSync {
@@ -200,9 +191,9 @@ class TcpLayer final : public core::Layer {
 
   Ip4Layer& ip_;
   SocketLayer& sockets_;
+  time::TimerWheel& wheel_;
   TcpConfig cfg_;
   const double* now_sec_ = nullptr;
-  time::TimerWheel* wheel_ = nullptr;
   std::vector<std::unique_ptr<TcpPcb>> pcbs_;
   /// One bit per slot, set while the slot is CLOSED (free).
   std::vector<std::uint64_t> free_slots_;

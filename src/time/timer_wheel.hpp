@@ -18,17 +18,18 @@
 //
 // Fault surface: set_storm_level(n) models a timer storm (spurious
 // wakeups): each advance fires up to n not-yet-due timers early, capped
-// at storm_spurious_cap — the excess is shed. The shed_guard config knob
+// at kStormSpuriousCap — the excess is shed. The shed_guard config knob
 // is a mutation revert-guard (precedent: TcpConfig::enable_persist_timer)
 // — when reverted, an advance that jumps far past a deadline (the
 // clock-stall recovery snap) sheds the overdue timer instead of firing
 // it, which recover::DeadlineOracle must catch.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -51,17 +52,11 @@ inline constexpr std::size_t kTimerClassCount = 3;
 [[nodiscard]] const char* timer_class_name(TimerClass cls) noexcept;
 
 struct WheelConfig {
-  double tick_sec = 1e-3;  ///< Wheel resolution; deadlines round up.
   /// Mutation revert-guard: true (default) fires every overdue timer on
   /// a large clock jump (stall recovery); false re-introduces the bug
   /// class where recovery "sheds" stale timers — they silently never
   /// fire — so the deadline oracle can prove it would catch it.
   bool shed_guard = true;
-  /// Overdue-beyond-this threshold for the reverted guard's shedding.
-  double stale_shed_sec = 0.25;
-  /// Max spurious (early) fires per advance under a timer storm; demand
-  /// beyond the cap is shed so a storm cannot starve due timers.
-  int storm_spurious_cap = 8;
 };
 
 struct WheelStats {
@@ -86,6 +81,13 @@ struct TimerEvent {
 
 class TimerWheel {
  public:
+  static constexpr double kTickSec = 1e-3;  ///< Resolution; deadlines round up.
+  /// Overdue-beyond-this threshold for the reverted guard's shedding.
+  static constexpr double kStaleShedSec = 0.25;
+  /// Max spurious (early) fires per advance under a timer storm; demand
+  /// beyond the cap is shed so a storm cannot starve due timers.
+  static constexpr int kStormSpuriousCap = 8;
+
   explicit TimerWheel(WheelConfig config = {});
 
   TimerWheel(const TimerWheel&) = delete;
@@ -100,6 +102,19 @@ class TimerWheel {
   /// O(1). False if the id already fired, was cancelled, or never existed.
   bool cancel(TimerId id);
 
+  /// Keep one timer at `deadline_sec`: returns `id` untouched when it is
+  /// already armed there; otherwise cancels it and arms a fresh timer, or
+  /// nothing (returning kNoTimer) when the deadline is +inf.
+  template <class Fn>
+  [[nodiscard]] TimerId rearm(TimerId id, double deadline_sec, TimerClass cls,
+                              Fn&& fn) {
+    const Node* node = resolve(id);
+    if (node != nullptr && node->deadline == deadline_sec) return id;
+    if (node != nullptr) cancel(id);
+    if (!std::isfinite(deadline_sec)) return kNoTimer;
+    return arm(deadline_sec, cls, std::forward<Fn>(fn));
+  }
+
   [[nodiscard]] bool armed(TimerId id) const noexcept;
   /// Armed deadline of `id`, +inf when not armed.
   [[nodiscard]] double deadline_of(TimerId id) const noexcept;
@@ -110,15 +125,17 @@ class TimerWheel {
   void advance_to(double now_sec);
 
   [[nodiscard]] double now() const noexcept { return now_; }
-  /// Earliest armed deadline, +inf when the wheel is empty. O(log n)
-  /// amortized — this is what makes event-driven idle ticks possible.
+  /// Earliest armed deadline, +inf when the wheel is empty. O(1) while
+  /// the earliest timer stays armed; after it leaves, one scan of the
+  /// due-now list, the first occupied slot per level and the overflow
+  /// list — this is what makes event-driven idle ticks possible.
   [[nodiscard]] double next_deadline() const noexcept;
   [[nodiscard]] std::size_t armed_count() const noexcept { return live_; }
   [[nodiscard]] const WheelStats& stats() const noexcept { return stats_; }
   [[nodiscard]] WheelConfig& config() noexcept { return cfg_; }
 
   /// Timer-storm intensity: >0 fires up to that many not-yet-due timers
-  /// spuriously per advance (capped at storm_spurious_cap, excess shed).
+  /// spuriously per advance (capped at kStormSpuriousCap, excess shed).
   void set_storm_level(int level) noexcept { storm_ = level; }
 
   void set_observer(std::function<void(const TimerEvent&)> observer) {
@@ -130,14 +147,26 @@ class TimerWheel {
   static constexpr int kSlotBits = 6;
   static constexpr std::uint64_t kSlots = 1ull << kSlotBits;  // 64
   static constexpr std::uint64_t kSlotMask = kSlots - 1;
+  /// Every live node is linked on exactly one list: slot `slot` of level
+  /// `level` is list level * kSlots + slot, then come the overflow list
+  /// (beyond the level-3 horizon) and the due-now list (tick reached;
+  /// fires on the next advance).
+  static constexpr std::uint16_t kOverflow = kLevels * kSlots;
+  static constexpr std::uint16_t kDueNow = kOverflow + 1;
+  static constexpr std::uint16_t kLists = kDueNow + 1;
+  static constexpr std::uint16_t kNoList = kLists;  ///< Free node.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
+  /// Linked by index, not pointer: nodes_ reallocates as it grows.
   struct Node {
     double deadline = 0.0;
     std::uint64_t tick = 0;
     std::uint64_t seq = 0;      ///< Arm order; firing tiebreaker.
-    std::uint32_t gen = 0;      ///< Bumped on fire/cancel; stale-ref guard.
+    std::uint32_t gen = 0;      ///< Bumped on fire/cancel; stale-id guard.
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;  ///< Also the free-stack link.
+    std::uint16_t list = kNoList;
     TimerClass cls = TimerClass::kCadence;
-    bool live = false;
     std::function<void()> fn;
   };
 
@@ -147,14 +176,23 @@ class TimerWheel {
   [[nodiscard]] static std::uint32_t gen_of(TimerId id) noexcept {
     return static_cast<std::uint32_t>(id >> 32);
   }
+  [[nodiscard]] TimerId id_of(std::uint32_t index) const noexcept {
+    return (static_cast<std::uint64_t>(nodes_[index].gen) << 32) |
+           (index + 1ull);
+  }
+  /// Storm and next_deadline() order: (deadline, TimerId).
+  [[nodiscard]] bool sooner(std::uint32_t a, std::uint32_t b) const noexcept;
   [[nodiscard]] const Node* resolve(TimerId id) const noexcept;
-  void place(TimerId id);  ///< File a live node by its tick delta.
-  /// Re-place every live timer on `list` (a cascading slot or the
-  /// overflow list), leaving `list` empty.
-  void refile(std::vector<TimerId>& list);
+  void link(std::uint32_t index, std::uint16_t list) noexcept;
+  void unlink(std::uint32_t index) noexcept;
+  void place(std::uint32_t index) noexcept;  ///< File by its tick delta.
+  /// Re-place every node on `list`, leaving it empty; returns how many.
+  std::uint64_t refile(std::uint16_t list) noexcept;
   void emit(TimerEvent::Kind kind, const Node& node, TimerId id);
-  /// Detach a node (bump gen, free the slot) returning its callback.
+  /// Unlink a node and free it (bump gen), returning its callback.
   std::function<void()> detach(std::uint32_t index);
+  /// Earliest live node by sooner(), kNil when the wheel is empty.
+  [[nodiscard]] std::uint32_t earliest() const noexcept;
 
   WheelConfig cfg_;
   double now_ = 0.0;
@@ -163,22 +201,14 @@ class TimerWheel {
   std::size_t live_ = 0;
   int storm_ = 0;
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_;
-  /// slots_[level][slot] holds timer ids; stale refs (cancelled/refiled
-  /// timers, reused node slots) are detected by the generation check.
-  std::vector<TimerId> slots_[kLevels][kSlots];
-  std::vector<TimerId> overflow_;  ///< Beyond the level-3 horizon.
-  std::vector<TimerId> due_now_;   ///< Armed-in-past; fire next advance.
-  /// advance_to()'s firing batch and cascade scratch; members so their
-  /// capacity carries over from one advance to the next.
+  std::uint32_t free_ = kNil;  ///< Stack of freed nodes, linked by next.
+  std::array<std::uint32_t, kLists> heads_;
+  std::array<std::uint64_t, kLevels> occupied_{};  ///< Non-empty slot bits.
+  /// Cached earliest(); valid while earliest_known_.
+  mutable std::uint32_t earliest_ = kNil;
+  mutable bool earliest_known_ = true;
+  /// advance_to()'s firing batch; a member so its capacity carries over.
   std::vector<TimerId> due_;
-  std::vector<TimerId> refile_;
-  /// Lazy min-heap over (deadline, id) for next_deadline(); entries for
-  /// fired/cancelled timers are peeled on query.
-  mutable std::priority_queue<std::pair<double, TimerId>,
-                              std::vector<std::pair<double, TimerId>>,
-                              std::greater<>>
-      soonest_;
   WheelStats stats_;
   std::function<void(const TimerEvent&)> observer_;
 };

@@ -5,9 +5,10 @@
 // NetDevice::connect run 64 B request/reply and 1460 B stream traffic with
 // the server under the conventional schedule, LDLP, and the staged
 // (StagedRx kHybrid) receive path. After a warm-up long enough for every
-// queue, ring and timer-wheel slot to reach its working size, a window of
-// traffic must make an exact number of allocations. Churn (connect,
-// request, reply, close) is held to a fixed count per connection.
+// queue and ring to reach its working size, a window of traffic must make
+// an exact number of allocations. Churn (connect, request, reply, close)
+// is held to a fixed count per connection. A timer wheel whose timers are
+// re-armed and never queried must stop allocating once it is full.
 //
 // The counts are deterministic — the same code makes the same calls in
 // the same order — so this gate sees a regression that timing noise on a
@@ -22,6 +23,7 @@
 
 #include "pipe/pipeline.hpp"
 #include "stack/host.hpp"
+#include "time/timer_wheel.hpp"
 
 namespace {
 std::uint64_t g_news = 0;
@@ -93,8 +95,7 @@ const char* sched_name(Sched s) {
 constexpr std::uint16_t kPort = 80;
 constexpr std::size_t kMsg = 64;
 constexpr std::size_t kSeg = 1460;
-/// One wheel tick per step. The warm-up covers 64 level-1 slots (4.1 s),
-/// so every wheel slot has been filled at least once before counting.
+/// One wheel tick per step; the warm-up runs 5 s of traffic.
 constexpr double kStepSec = 1e-3;
 constexpr int kWarmupSteps = 5000;
 constexpr int kMeasureSteps = 2000;
@@ -393,6 +394,29 @@ TEST(AllocGate, ChurnCostsAFixedCountPerConnection) {
         << sched_name(s) << ": " << win.news << " allocations over "
         << win.ops << " connections";
   }
+}
+
+/// 1,024 timers, each re-armed every 8 ms (128 per 1 ms tick, round-robin)
+/// at +50 ms, so none fires, and nothing ever calls next_deadline(): once
+/// the wheel is full, its second second makes no allocation.
+TEST(AllocGate, RearmedTimersMakeNoAllocationWithoutQueries) {
+  constexpr int kTimers = 1024;
+  constexpr int kPerTick = kTimers / 8;
+  time::TimerWheel wheel;
+  std::array<time::TimerId, kTimers> ids{};
+  int fired = 0;
+  std::uint64_t news0 = 0;
+  for (int ms = 1; ms <= 2000; ++ms) {
+    if (ms == 1001) news0 = g_news;
+    const double now = ms * kStepSec;
+    wheel.advance_to(now);
+    for (int i = ms % 8 * kPerTick; i < (ms % 8 + 1) * kPerTick; ++i)
+      ids[i] = wheel.rearm(ids[i], now + 0.05, time::TimerClass::kCadence,
+                           [&fired] { ++fired; });
+  }
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(wheel.armed_count(), static_cast<std::size_t>(kTimers));
+  EXPECT_EQ(g_news - news0, 0u) << "allocations in the second second";
 }
 
 }  // namespace

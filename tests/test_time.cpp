@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -26,6 +27,7 @@
 #include "bench/soak_scenarios.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
+#include "common/rng.hpp"
 #include "dns/resolver.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -83,15 +85,14 @@ TEST(Wheel, CancelAfterFireIsNoOpEvenWhenSlotIsReused) {
 TEST(Wheel, WrapsPastTheWheelHorizonViaOverflow) {
   // 4 levels x 64 slots: anything beyond 64^4 ticks can't be filed in a
   // slot and parks on the overflow list until the top level wraps.
-  time::WheelConfig cfg;
-  cfg.tick_sec = 1.0;
-  TimerWheel w(cfg);
+  TimerWheel w;
   std::vector<int> order;
-  (void)w.arm(100.0, TimerClass::kCadence, [&] { order.push_back(0); });
-  const double past_horizon = 16'777'300.0;  // 64^4 = 16'777'216 ticks
+  (void)w.arm(0.1, TimerClass::kCadence, [&] { order.push_back(0); });
+  const double past_horizon = 16'777.3;  // 64^4 = 16'777'216 1 ms ticks
   (void)w.arm(past_horizon, TimerClass::kExpiry, [&] { order.push_back(1); });
   EXPECT_EQ(w.armed_count(), 2u);
-  w.advance_to(past_horizon + 1.0);
+  EXPECT_EQ(w.next_deadline(), 0.1);
+  w.advance_to(past_horizon + TimerWheel::kTickSec);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], 1);
@@ -118,19 +119,18 @@ TEST(Wheel, FiresInDeadlineThenArmOrderTwiceIdentically) {
 }
 
 TEST(Wheel, StormSpuriousFiresAreCappedAndDueTimersStillFire) {
-  time::WheelConfig cfg;
-  cfg.storm_spurious_cap = 2;
-  TimerWheel w(cfg);
+  constexpr int kCap = TimerWheel::kStormSpuriousCap;
+  TimerWheel w;
   int due_fired = 0;
   int early_fired = 0;
   (void)w.arm(0.01, TimerClass::kLiveness, [&] { ++due_fired; });
-  for (int i = 0; i < 5; ++i)
+  for (int i = 0; i < kCap + 3; ++i)
     (void)w.arm(5.0 + i, TimerClass::kCadence, [&] { ++early_fired; });
-  w.set_storm_level(10);  // demands more than the cap allows
+  w.set_storm_level(kCap + 5);  // demands more than the cap allows
   w.advance_to(0.02);
   EXPECT_EQ(due_fired, 1);  // a storm must never starve due timers
-  EXPECT_EQ(early_fired, 2);
-  EXPECT_EQ(w.stats().spurious_fires, 2u);
+  EXPECT_EQ(early_fired, kCap);
+  EXPECT_EQ(w.stats().spurious_fires, static_cast<std::uint64_t>(kCap));
   EXPECT_GT(w.stats().shed, 0u);  // the excess demand was shed, not fired
 }
 
@@ -157,6 +157,121 @@ TEST(Wheel, ShedGuardRevertShedsStaleTimersWithEvents) {
   guarded.advance_to(1.0);
   EXPECT_EQ(late, 1);
   EXPECT_EQ(guarded.stats().shed, 0u);
+}
+
+TEST(Wheel, RearmKeepsAnUnchangedTimerAndDisarmsAtInfinity) {
+  TimerWheel w;
+  std::vector<time::TimerEvent::Kind> events;
+  w.set_observer([&](const time::TimerEvent& e) { events.push_back(e.kind); });
+  const time::TimerId id = w.rearm(time::kNoTimer, 0.5, TimerClass::kLiveness,
+                                   [] {});
+  ASSERT_TRUE(w.armed(id));
+  events.clear();
+  EXPECT_EQ(w.rearm(id, 0.5, TimerClass::kLiveness, [] {}), id);
+  EXPECT_TRUE(events.empty());
+
+  const time::TimerId moved = w.rearm(id, 0.7, TimerClass::kLiveness, [] {});
+  EXPECT_NE(moved, id);
+  EXPECT_FALSE(w.armed(id));
+  EXPECT_EQ(w.deadline_of(moved), 0.7);
+  const std::vector<time::TimerEvent::Kind> cancel_then_arm = {
+      time::TimerEvent::Kind::kCancel, time::TimerEvent::Kind::kArm};
+  EXPECT_EQ(events, cancel_then_arm);
+
+  events.clear();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(w.rearm(moved, inf, TimerClass::kLiveness, [] {}), time::kNoTimer);
+  EXPECT_FALSE(w.armed(moved));
+  EXPECT_EQ(w.armed_count(), 0u);
+  EXPECT_EQ(events, std::vector{time::TimerEvent::Kind::kCancel});
+  EXPECT_EQ(w.rearm(time::kNoTimer, inf, TimerClass::kLiveness, [] {}),
+            time::kNoTimer);
+}
+
+/// Random arm/cancel/advance against a brute-force model of the live
+/// timers: next_deadline() is their minimum, each advance fires exactly
+/// the timers whose tick it reached in (deadline, arm order), and a
+/// storm picks timers in (deadline, id) order. Deadlines span the due-now
+/// list (arms in the past), all four levels and the overflow list.
+TEST(Wheel, AgreesWithABruteForceModel) {
+  struct Live {
+    double deadline;
+    std::uint64_t seq;
+  };
+  const auto tick_of = [](double deadline) -> std::uint64_t {
+    const double ticks = deadline / TimerWheel::kTickSec;
+    return ticks <= 0.0 ? 0
+                        : static_cast<std::uint64_t>(std::ceil(ticks - 1e-9));
+  };
+  TimerWheel w;
+  std::map<time::TimerId, Live> model;
+  std::vector<time::TimerId> fired;
+  std::vector<time::TimerId> spurious;
+  w.set_observer([&](const time::TimerEvent& e) {
+    if (e.kind == time::TimerEvent::Kind::kFire) fired.push_back(e.id);
+    if (e.kind == time::TimerEvent::Kind::kSpurious) spurious.push_back(e.id);
+  });
+  Rng rng(23);
+  std::uint64_t seq = 0;
+  // Horizons of the due-now list, levels 0-3 and overflow, in seconds.
+  const double spans[] = {-0.5, 0.064, 4.096, 262.144, 16'777.216, 40'000.0};
+  for (int step = 0; step < 20'000; ++step) {
+    const double now = w.now();
+    const std::uint64_t op = rng.bounded(100);
+    if (op < 50) {
+      const std::size_t span = rng.bounded(std::size(spans));
+      const double deadline = now + rng.uniform() * spans[span];
+      const time::TimerId id = w.arm(deadline, TimerClass::kCadence, [] {});
+      model[id] = {deadline, ++seq};
+    } else if (op < 75 && !model.empty()) {
+      auto it = model.begin();
+      std::advance(it, rng.bounded(model.size()));
+      EXPECT_TRUE(w.cancel(it->first));
+      EXPECT_FALSE(w.cancel(it->first));
+      model.erase(it);
+    } else if (op < 80) {
+      // A storm on a stale advance: only spurious fires, earliest first.
+      const int level = 1 + static_cast<int>(rng.bounded(10));
+      std::vector<std::pair<double, time::TimerId>> order;
+      for (const auto& [id, t] : model) order.emplace_back(t.deadline, id);
+      std::sort(order.begin(), order.end());
+      order.resize(std::min<std::size_t>(
+          order.size(), std::min(level, TimerWheel::kStormSpuriousCap)));
+      spurious.clear();
+      w.set_storm_level(level);
+      w.advance_to(now);
+      w.set_storm_level(0);
+      ASSERT_EQ(spurious.size(), order.size()) << "step " << step;
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(spurious[i], order[i].second) << "step " << step;
+        model.erase(order[i].second);
+      }
+    } else {
+      // Mostly short hops; now and then a leap across the outer levels.
+      const double dt = rng.chance(0.002) ? rng.uniform() * 20'000.0
+                                         : rng.uniform() * 0.05;
+      const auto target = static_cast<std::uint64_t>(
+          (now + dt) / TimerWheel::kTickSec + 1e-9);
+      std::vector<std::pair<std::pair<double, std::uint64_t>, time::TimerId>>
+          due;
+      for (const auto& [id, t] : model)
+        if (tick_of(t.deadline) <= target) due.push_back({{t.deadline, t.seq}, id});
+      std::sort(due.begin(), due.end());
+      fired.clear();
+      w.advance_to(now + dt);
+      ASSERT_EQ(fired.size(), due.size()) << "step " << step;
+      for (std::size_t i = 0; i < due.size(); ++i) {
+        EXPECT_EQ(fired[i], due[i].second) << "step " << step;
+        model.erase(due[i].second);
+      }
+    }
+    double want = std::numeric_limits<double>::infinity();
+    for (const auto& [id, t] : model) want = std::min(want, t.deadline);
+    ASSERT_EQ(w.next_deadline(), want) << "step " << step;
+    ASSERT_EQ(w.armed_count(), model.size()) << "step " << step;
+  }
+  EXPECT_GT(w.stats().cascades, 0u);
+  EXPECT_GT(w.stats().spurious_fires, 0u);
 }
 
 // ---- Clock fault kinds in ldlp.schedule.v1 -----------------------------
@@ -459,7 +574,7 @@ overlay::GossipSimConfig clocks_sim() {
 }
 
 /// One long clock stall on h2 (the snap strands its armed wakeups well
-/// past stale_shed_sec) plus two benign decoys on other hosts that ddmin
+/// past kStaleShedSec) plus two benign decoys on other hosts that ddmin
 /// must discard: a small skew and a mild drift, neither of which can
 /// move a wheel far enough in one advance to strand anything.
 check::Schedule stall_schedule(std::uint64_t seed) {

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   opt.seed = flags.u64("seed", 0x5eed);
   const double rate = flags.f64("rate", 8000.0);
   benchutil::BenchReport report("ablation_batch_cap", flags);
+  flags.reject_unread();
   report.config_u64("runs", opt.runs);
   report.config_u64("seed", opt.seed);
   report.config("rate", std::to_string(rate));

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   benchutil::Flags flags(argc, argv);
   const auto payload = static_cast<std::uint32_t>(flags.u64("payload", 512));
   benchutil::BenchReport report("ablation_code_density", flags);
+  flags.reject_unread();
   report.config_u64("payload", payload);
 
   const Encoding encodings[] = {

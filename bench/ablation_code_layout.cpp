@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const auto payload = static_cast<std::uint32_t>(flags.u64("payload", 512));
   const auto miss_penalty = flags.u64("penalty", 20);
   benchutil::BenchReport report("ablation_code_layout", flags);
+  flags.reject_unread();
   report.config_u64("payload", payload);
   report.config_u64("penalty", miss_penalty);
 

@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
       {"+L2+TLB", true, true},
   };
   benchutil::BenchReport report("ablation_memory_model", flags);
+  flags.reject_unread();
   report.config_u64("runs", opt.runs);
   report.config_u64("seed", opt.seed);
   const char* variant_key[] = {"flat", "l2", "tlb", "l2_tlb"};

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   benchutil::Flags flags(argc, argv);
   const std::string dir = flags.str("baseline_dir", LDLP_BASELINE_DIR);
   const bool update = flags.flag("update");
+  flags.reject_unread();
 
   benchutil::heading(update ? "Perf gate: rewriting baselines"
                             : "Perf gate: comparing against baselines");

@@ -8,15 +8,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "obs/bench_result.hpp"
 
 namespace ldlp::benchutil {
 
-/// Minimal "--name=value" flag reader.
+/// Minimal "--name=value" flag reader. It marks each argument a read
+/// matches; reject_unread() then turns a misspelt flag into an error
+/// instead of a silent default.
 class Flags {
  public:
-  Flags(int argc, char** argv) : argc_(argc), argv_(argv) {}
+  Flags(int argc, char** argv)
+      : argc_(argc), argv_(argv), read_(static_cast<std::size_t>(argc)) {}
 
   [[nodiscard]] std::uint64_t u64(const char* name,
                                   std::uint64_t fallback) const {
@@ -34,10 +38,24 @@ class Flags {
   [[nodiscard]] bool flag(const char* name) const {
     for (int i = 1; i < argc_; ++i) {
       if (std::strncmp(argv_[i], "--", 2) == 0 &&
-          std::strcmp(argv_[i] + 2, name) == 0)
+          std::strcmp(argv_[i] + 2, name) == 0) {
+        read_[static_cast<std::size_t>(i)] = true;
         return true;
+      }
     }
     return false;
+  }
+
+  /// Call once every flag has been read: exits with status 2, naming
+  /// each one, if any argument matched no read (a typo or a repeat).
+  void reject_unread() const {
+    bool bad = false;
+    for (int i = 1; i < argc_; ++i) {
+      if (read_[static_cast<std::size_t>(i)]) continue;
+      std::fprintf(stderr, "error: unknown argument '%s'\n", argv_[i]);
+      bad = true;
+    }
+    if (bad) std::exit(2);
   }
 
  private:
@@ -46,14 +64,17 @@ class Flags {
     for (int i = 1; i < argc_; ++i) {
       const char* arg = argv_[i];
       if (std::strncmp(arg, "--", 2) != 0) continue;
-      if (std::strncmp(arg + 2, name, len) == 0 && arg[2 + len] == '=')
+      if (std::strncmp(arg + 2, name, len) == 0 && arg[2 + len] == '=') {
+        read_[static_cast<std::size_t>(i)] = true;
         return arg + 2 + len + 1;
+      }
     }
     return nullptr;
   }
 
   int argc_;
   char** argv_;
+  mutable std::vector<bool> read_;  ///< Per argv index: matched by a read.
 };
 
 inline void heading(const char* title) {

@@ -1207,15 +1207,15 @@ bool outcomes_identical(const std::vector<SeedOutcome>& serial,
 
 int main(int argc, char** argv) {
   benchutil::Flags flags(argc, argv);
-  if (flags.u64("help", 0) != 0) {
+  if (flags.flag("help") || flags.u64("help", 0) != 0) {
     std::printf(
         "chaos_soak: seeded fault schedules against oracle-checked "
         "protocol scenarios\n\n"
         "scenarios (--scenario=<name>; default sweep runs the unmarked "
         "ones):\n%s\n"
         "flags: --seed_lo --seed_hi --seeds --scenario --jobs --check_jobs\n"
-        "       --seed_timeout_ms --replay=<schedule.json> --verbose "
-        "--no_shrink --out_dir\n",
+        "       --seed_timeout_ms --replay=<schedule.json> --verbose=1 "
+        "--no_shrink=1 --out_dir\n",
         soak::scenario_help().c_str());
     return 0;
   }
@@ -1229,9 +1229,22 @@ int main(int argc, char** argv) {
     if (timeout_flag != UINT64_MAX) return timeout_flag;
     return soak::default_timeout_ms(scenario);
   };
+  const char* replay = flags.str("replay", nullptr);
+  // Seed range: --seed_lo/--seed_hi (half-open); --seed/--seeds remain as
+  // aliases so existing reproduce lines keep working.
+  const std::uint64_t seed_lo = flags.u64("seed_lo", flags.u64("seed", 1));
+  const std::uint64_t seed_hi =
+      flags.u64("seed_hi", seed_lo + flags.u64("seeds", 32));
+  const std::uint64_t seeds = seed_hi > seed_lo ? seed_hi - seed_lo : 0;
+  const bool verbose = flags.u64("verbose", 0) != 0;
+  const bool no_shrink = flags.u64("no_shrink", 0) != 0;
+  const std::string out_dir = flags.str("out_dir", ".");
+  const std::string only = flags.str("scenario", "");
+  const std::uint64_t jobs = std::max<std::uint64_t>(1, flags.u64("jobs", 1));
+  const std::uint64_t check_jobs = flags.u64("check_jobs", 0);
+  flags.reject_unread();
 
   // --replay runs one serialised schedule and reports, nothing else.
-  const char* replay = flags.str("replay", nullptr);
   if (replay != nullptr) {
     std::string error;
     const auto schedule = check::Schedule::load(replay, &error);
@@ -1250,19 +1263,7 @@ int main(int argc, char** argv) {
     return r.pass ? 0 : 1;
   }
 
-  // Seed range: --seed_lo/--seed_hi (half-open); --seed/--seeds remain as
-  // aliases so existing reproduce lines keep working.
-  const std::uint64_t seed_lo = flags.u64("seed_lo", flags.u64("seed", 1));
-  const std::uint64_t seed_hi =
-      flags.u64("seed_hi", seed_lo + flags.u64("seeds", 32));
-  const std::uint64_t seeds = seed_hi > seed_lo ? seed_hi - seed_lo : 0;
-  const bool verbose = flags.u64("verbose", 0) != 0;
-  const bool no_shrink = flags.u64("no_shrink", 0) != 0;
-  const std::string out_dir = flags.str("out_dir", ".");
-  const std::string only = flags.str("scenario", "");
   g_seed_timeout_ms = timeout_for(only);
-  const std::uint64_t jobs = std::max<std::uint64_t>(1, flags.u64("jobs", 1));
-  const std::uint64_t check_jobs = flags.u64("check_jobs", 0);
   if (!only.empty() && soak::find_scenario(only) == nullptr) {
     std::fprintf(stderr,
                  "error: unknown --scenario '%s'; known scenarios:\n%s",

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   opt.runs = static_cast<std::uint32_t>(flags.u64("runs", 15));
   opt.seed = flags.u64("seed", 0x5eed);
   benchutil::BenchReport report("ext_duplex_switch", flags);
+  flags.reject_unread();
   report.config_u64("runs", opt.runs);
   report.config_u64("seed", opt.seed);
 

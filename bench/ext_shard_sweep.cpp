@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
   const double rx_usecs = static_cast<double>(flags.u64("rx_usecs", 750));
 
   benchutil::BenchReport report("ext_shard_sweep", flags);
+  flags.reject_unread();
   report.config_u64("seed", seed);
   report.config_u64("flows", flows);
   report.config_u64("messages", messages);

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   opt.run_seconds = flags.f64("seconds", 1.0);
   opt.seed = flags.u64("seed", 0x5eed);
   benchutil::BenchReport report("fig6_latency", flags);
+  flags.reject_unread();
   report.config_u64("runs", opt.runs);
   report.config_u64("seed", opt.seed);
   report.config("seconds", std::to_string(opt.run_seconds));

@@ -4,7 +4,6 @@
 // clock speed from 10 to 80 MHz; below the conventional stack's break-even
 // clock the LDLP version batches to maintain throughput.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -21,27 +20,22 @@ int main(int argc, char** argv) {
   opt.seed = flags.u64("seed", 0x5eed);
   const double duration = flags.f64("duration", 100.0);
   const double mean_rate = flags.f64("rate", 1200.0);
+  // --save-trace=/path and --load-trace=/path let a generated trace be
+  // pinned across machines/runs, the way the paper replays one capture.
+  const char* load_trace = flags.str("load-trace", nullptr);
+  const char* save_trace = flags.str("save-trace", nullptr);
   benchutil::BenchReport report("fig7_cpu_clock", flags);
+  flags.reject_unread();
   report.config_u64("runs", opt.runs);
   report.config_u64("seed", opt.seed);
   report.config("duration", std::to_string(duration));
   report.config("rate", std::to_string(mean_rate));
 
-  // --save-trace=/path and --load-trace=/path let a generated trace be
-  // pinned across machines/runs, the way the paper replays one capture.
   std::vector<traffic::PacketArrival> trace;
-  const auto load_path = flags.u64("dummy", 0);  // placeholder keeps Flags simple
-  (void)load_path;
-  if (const char* arg = [&]() -> const char* {
-        for (int i = 1; i < argc; ++i) {
-          if (std::strncmp(argv[i], "--load-trace=", 13) == 0)
-            return argv[i] + 13;
-        }
-        return nullptr;
-      }()) {
-    trace = traffic::load_trace(arg);
+  if (load_trace != nullptr) {
+    trace = traffic::load_trace(load_trace);
     if (trace.empty()) {
-      std::fprintf(stderr, "could not load trace from %s\n", arg);
+      std::fprintf(stderr, "could not load trace from %s\n", load_trace);
       return 1;
     }
   } else {
@@ -51,12 +45,8 @@ int main(int argc, char** argv) {
     auto sizes = traffic::ethernet1989_sizes();
     trace = traffic::generate_self_similar_trace(trace_cfg, *sizes, opt.seed);
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--save-trace=", 13) == 0) {
-      if (!traffic::save_trace(argv[i] + 13, trace))
-        std::fprintf(stderr, "warning: could not save trace\n");
-    }
-  }
+  if (save_trace != nullptr && !traffic::save_trace(save_trace, trace))
+    std::fprintf(stderr, "warning: could not save trace\n");
   const double hurst = traffic::estimate_hurst_variance_time(trace);
 
   std::vector<double> clocks;

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   benchutil::Flags flags(argc, argv);
   const auto max_size = static_cast<std::uint32_t>(flags.u64("max", 1000));
   benchutil::BenchReport report("fig8_checksum", flags);
+  flags.reject_unread();
   report.config_u64("max", max_size);
 
   benchutil::heading("Figure 8: cache effects in checksum routines (cycles)");

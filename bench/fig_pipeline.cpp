@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   const std::uint64_t batch = flags.u64("batch", 8);
 
   benchutil::BenchReport report("fig_pipeline", flags);
+  flags.reject_unread();
   report.config_u64("seed", seed);
   report.config_u64("batch", batch);
 

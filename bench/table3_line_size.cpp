@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   benchutil::Flags flags(argc, argv);
   const auto payload = static_cast<std::uint32_t>(flags.u64("payload", 512));
   benchutil::BenchReport report("table3_line_size", flags);
+  flags.reject_unread();
   report.config_u64("payload", payload);
 
   stack::StackTracer tracer;

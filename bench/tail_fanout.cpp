@@ -36,6 +36,9 @@ int main(int argc, char** argv) {
   if (std::strcmp(transport, "tcp") == 0)
     sweep.base.fanout_cfg.transport = rpc::FanoutTransport::kTcp;
   const std::uint64_t jobs = flags.u64("jobs", 1);
+  const bool write_json = !flags.flag("no_json");
+  const char* dir = flags.str("out_dir", ".");
+  flags.reject_unread();
 
   const obs::BenchResult result =
       rpc::run_tail_sweep(sweep, static_cast<std::size_t>(jobs));
@@ -85,8 +88,7 @@ int main(int argc, char** argv) {
                 ratio("p9999_sec"));
   }
 
-  if (!flags.flag("no_json")) {
-    const char* dir = flags.str("out_dir", ".");
+  if (write_json) {
     if (!result.write_file(dir)) {
       std::fprintf(stderr, "warning: failed to write %s/%s\n", dir,
                    result.file_name().c_str());

@@ -1,7 +1,6 @@
 #include "core/stack_graph.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/assert.hpp"
 
@@ -94,7 +93,6 @@ std::size_t StackGraph::drain_upward(LayerId id) {
 
 std::size_t StackGraph::run() {
   if (mode_ == SchedMode::kConventional) return 0;
-  const auto started = std::chrono::steady_clock::now();
   std::size_t total = 0;
   for (;;) {
     bool any = false;
@@ -112,13 +110,7 @@ std::size_t StackGraph::run() {
     }
     if (!any) break;
   }
-  if (total != 0) {
-    ++gstats_.runs;
-    drain_seconds_.add(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count());
-  }
+  if (total != 0) ++gstats_.runs;
   return total;
 }
 
@@ -141,7 +133,6 @@ std::size_t StackGraph::run_stage_pass() {
 
 void StackGraph::reset_stats() noexcept {
   gstats_ = {};
-  drain_seconds_.reset();
   for (Layer* layer : layers_) layer->reset_stats();
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "core/layer.hpp"
 
 namespace ldlp::core {
@@ -116,15 +115,9 @@ class StackGraph {
     return gstats_;
   }
 
-  /// Wall-clock seconds per run() that found work — the cost of draining
-  /// one admitted backlog (observability only; not simulated time).
-  [[nodiscard]] const RunningStats& drain_stats() const noexcept {
-    return drain_seconds_;
-  }
-
-  /// Zero the graph counters, the drain-latency accumulator and every
-  /// registered layer's stats. Queued messages are untouched. Multi-run
-  /// harnesses call this between runs so totals never carry over.
+  /// Zero the graph counters and every registered layer's stats. Queued
+  /// messages are untouched. Multi-run harnesses call this between runs
+  /// so totals never carry over.
   void reset_stats() noexcept;
 
  private:
@@ -160,7 +153,6 @@ class StackGraph {
   /// between passes so a pass allocates nothing.
   std::vector<std::size_t> stage_snapshot_;
   GraphStats gstats_;
-  RunningStats drain_seconds_;
 };
 
 }  // namespace ldlp::core

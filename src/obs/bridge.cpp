@@ -36,11 +36,6 @@ void publish_graph(Registry& registry, const core::StackGraph& graph,
   registry.gauge(join(prefix, "backlog"))
       .set(static_cast<double>(graph.backlog()));
 
-  const RunningStats& drain = graph.drain_stats();
-  registry.counter(join(prefix, "drain.count")).set(drain.count());
-  registry.gauge(join(prefix, "drain.mean_sec")).set(drain.mean());
-  registry.gauge(join(prefix, "drain.max_sec")).set(drain.max());
-
   for (core::LayerId id = 0; id < graph.layer_count(); ++id) {
     const core::Layer& layer = graph.layer(id);
     const core::LayerStats& ls = layer.stats();

@@ -8,18 +8,21 @@
 namespace ldlp::par {
 
 WorkerPool::WorkerPool(std::size_t workers)
-    : workers_(workers == 0 ? 1 : workers) {
-  registries_.reserve(workers_);
-  for (std::size_t w = 0; w < workers_; ++w)
-    registries_.push_back(std::make_unique<obs::Registry>());
-}
+    : workers_(workers == 0 ? 1 : workers) {}
 
 void WorkerPool::run(std::size_t count, const Job& job) {
   ++barriers_;
   jobs_run_ += count;
+  // Registries of earlier unmerged runs stay in front, in job order.
+  const std::size_t base = registries_.size();
+  for (std::size_t j = 0; j < count; ++j)
+    registries_.push_back(std::make_unique<obs::Registry>());
+  const auto run_job = [&](std::size_t j) {
+    WorkerContext ctx{registries_[base + j].get()};
+    job(j, ctx);
+  };
   if (workers_ <= 1) {
-    WorkerContext ctx{0, registries_[0].get()};
-    for (std::size_t j = 0; j < count; ++j) job(j, ctx);
+    for (std::size_t j = 0; j < count; ++j) run_job(j);
     return;
   }
   std::atomic<std::size_t> cursor{0};
@@ -28,12 +31,11 @@ void WorkerPool::run(std::size_t count, const Job& job) {
   std::vector<std::thread> threads;
   threads.reserve(workers_);
   for (std::size_t w = 0; w < workers_; ++w) {
-    threads.emplace_back([&, w] {
-      WorkerContext ctx{w, registries_[w].get()};
+    threads.emplace_back([&] {
       for (std::size_t j = cursor.fetch_add(1, std::memory_order_relaxed);
            j < count; j = cursor.fetch_add(1, std::memory_order_relaxed)) {
         try {
-          job(j, ctx);
+          run_job(j);
         } catch (...) {
           const std::lock_guard<std::mutex> lock(error_mu);
           if (!first_error) first_error = std::current_exception();
@@ -47,10 +49,8 @@ void WorkerPool::run(std::size_t count, const Job& job) {
 }
 
 void WorkerPool::merge_registries(obs::Registry& target) {
-  for (auto& reg : registries_) {
-    target.merge(*reg);
-    reg->clear();
-  }
+  for (const auto& reg : registries_) target.merge(*reg);
+  registries_.clear();
 }
 
 void WorkerPool::publish(obs::Registry& reg) const {

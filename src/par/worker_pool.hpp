@@ -7,10 +7,10 @@
 //   * Jobs are independent by construction (separate hosts, pools, seeds)
 //     and write results only into job-indexed slots, so the result vector
 //     is identical whatever the thread interleaving.
-//   * Each worker gets a private obs::Registry; after the barrier the
-//     per-worker registries merge into one with order-independent
-//     combiners (counters sum, gauges max, histograms pool), so the
-//     merged snapshot is identical for --jobs 1 and --jobs 8.
+//   * Each job gets a private obs::Registry, job-indexed like its result
+//     slot; merge_registries() folds them in job order, so the merged
+//     snapshot — floating-point sums included — is the serial one for
+//     --jobs 1 and --jobs 8 alike.
 //   * Reporting happens after the barrier, on the caller's thread, in job
 //     order — stdout and artifacts are bit-identical to a serial run.
 //
@@ -28,13 +28,12 @@
 
 namespace ldlp::par {
 
-/// Per-worker execution context handed to every job.
+/// Execution context handed to every job.
 struct WorkerContext {
-  std::size_t worker = 0;          ///< Worker index in [0, workers()).
-  obs::Registry* registry = nullptr;  ///< This worker's private registry.
+  obs::Registry* registry = nullptr;  ///< This job's private registry.
 };
 
-/// A job: invoked with its job index and the running worker's context.
+/// A job: invoked with its job index and its context.
 using Job = std::function<void(std::size_t job, WorkerContext&)>;
 
 class WorkerPool {
@@ -55,22 +54,16 @@ class WorkerPool {
   /// the barrier.
   void run(std::size_t count, const Job& job);
 
-  /// Merge every per-worker registry into `target` (worker order — which
-  /// is immaterial, since the combiners are order-independent) and clear
-  /// them for the next run.
+  /// Merge the registries of every job run since the last merge into
+  /// `target`, in job order, and drop them.
   void merge_registries(obs::Registry& target);
-
-  /// Direct access, e.g. for a serial caller that wants to read worker 0.
-  [[nodiscard]] obs::Registry& worker_registry(std::size_t w) {
-    return *registries_[w];
-  }
 
   /// Pool counters (par.pool.*) into `reg`: workers, jobs run, barriers.
   void publish(obs::Registry& reg) const;
 
  private:
   std::size_t workers_;
-  // unique_ptr keeps registries stable if the vector ever reallocates.
+  // unique_ptr: an obs::Registry can be neither copied nor moved.
   std::vector<std::unique_ptr<obs::Registry>> registries_;
   std::uint64_t jobs_run_ = 0;
   std::uint64_t barriers_ = 0;

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: RNG, statistics, histogram, ring
-// buffer, intrusive list, byte-order helpers.
+// buffer, byte-order helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 
 #include "common/byteorder.hpp"
 #include "common/histogram.hpp"
-#include "common/intrusive_list.hpp"
 #include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -269,64 +268,6 @@ TEST(ByteRing, AppendViewAndDropAcrossTheWrap) {
   EXPECT_EQ(out[0], 1);
   EXPECT_EQ(out[2], 3);
   EXPECT_EQ(ring.capacity(), cap);
-}
-
-struct Node {
-  int value = 0;
-  ListHook hook;
-};
-
-TEST(IntrusiveList, PushPopOrder) {
-  IntrusiveList<Node> list;
-  Node nodes[3];
-  for (int i = 0; i < 3; ++i) {
-    nodes[i].value = i;
-    list.push_back(nodes[i]);
-  }
-  EXPECT_EQ(list.size(), 3u);
-  EXPECT_EQ(list.front()->value, 0);
-  EXPECT_EQ(list.back()->value, 2);
-  EXPECT_EQ(list.pop_front()->value, 0);
-  EXPECT_EQ(list.pop_front()->value, 1);
-  EXPECT_EQ(list.pop_front()->value, 2);
-  EXPECT_TRUE(list.empty());
-}
-
-TEST(IntrusiveList, RemoveFromMiddle) {
-  IntrusiveList<Node> list;
-  Node nodes[3];
-  for (auto& n : nodes) list.push_back(n);
-  list.remove(nodes[1]);
-  EXPECT_EQ(list.size(), 2u);
-  EXPECT_EQ(list.pop_front(), &nodes[0]);
-  EXPECT_EQ(list.pop_front(), &nodes[2]);
-}
-
-TEST(IntrusiveList, ForEachSupportsUnlink) {
-  IntrusiveList<Node> list;
-  Node nodes[4];
-  for (int i = 0; i < 4; ++i) {
-    nodes[i].value = i;
-    list.push_back(nodes[i]);
-  }
-  list.for_each([&](Node& n) {
-    if (n.value % 2 == 0) list.remove(n);
-  });
-  EXPECT_EQ(list.size(), 2u);
-}
-
-TEST(IntrusiveList, SpliceBack) {
-  IntrusiveList<Node> a;
-  IntrusiveList<Node> b;
-  Node nodes[4];
-  a.push_back(nodes[0]);
-  a.push_back(nodes[1]);
-  b.push_back(nodes[2]);
-  b.push_back(nodes[3]);
-  a.splice_back(b);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(a.back(), &nodes[3]);
 }
 
 TEST(ByteOrder, RoundTrips) {

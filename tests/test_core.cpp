@@ -311,7 +311,6 @@ TEST(StackGraph, ResetStatsClearsBetweenRuns) {
   reused.graph.reset_stats();
   EXPECT_EQ(reused.graph.graph_stats().injected, 0u);
   EXPECT_EQ(reused.l1.stats().enqueued, 0u);
-  EXPECT_EQ(reused.graph.drain_stats().count(), 0u);
 
   drive(reused);
   const GraphStats& got = reused.graph.graph_stats();
@@ -323,8 +322,6 @@ TEST(StackGraph, ResetStatsClearsBetweenRuns) {
   EXPECT_EQ(reused.l1.stats().enqueued, fresh.l1.stats().enqueued);
   EXPECT_EQ(reused.l1.stats().processed, fresh.l1.stats().processed);
   EXPECT_EQ(reused.l2.stats().processed, fresh.l2.stats().processed);
-  EXPECT_EQ(reused.graph.drain_stats().count(),
-            fresh.graph.drain_stats().count());
 }
 
 // The per-layer conservation law the chaos invariants build on.

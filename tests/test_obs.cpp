@@ -397,9 +397,9 @@ obs::Snapshot reference_snapshot() {
   overlay::publish_overlay(reg, onodes);
 
   // par.*: a two-worker pool over four deterministic jobs. Which worker
-  // runs which job is scheduling-dependent, but the merged counters sum
-  // and the merged histogram pools its samples, so the snapshot — and
-  // this golden file — is identical on every run. The merged par.test.*
+  // runs which job is scheduling-dependent, but each job has its own
+  // registry and they merge in job order, so the snapshot — and this
+  // golden file — is identical on every run. The merged par.test.*
   // names land name-sorted after all directly registered metrics.
   par::WorkerPool pool(2);
   pool.run(4, [](std::size_t job, par::WorkerContext& ctx) {

@@ -170,7 +170,7 @@ class TcpLayer final : public core::Layer {
     TcpLayer* layer;
     PcbId id;
     ~WheelSync() {
-      if (layer != nullptr && id != kNoPcb) layer->sync_wheel(id);
+      if (id != kNoPcb) layer->sync_wheel(id);
     }
   };
   /// Disarm rtx/delayed-ACK deadlines and reset backoff bookkeeping.

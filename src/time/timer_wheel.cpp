@@ -130,7 +130,10 @@ std::function<void()> TimerWheel::detach(std::uint32_t index) {
   node.next = free_;
   free_ = index;
   --live_;
-  if (index == earliest_) earliest_known_ = false;
+  if (index == earliest_) {
+    earliest_ = kNil;
+    earliest_known_ = live_ == 0;  // an empty wheel has no earliest
+  }
   return fn;
 }
 

@@ -147,6 +147,7 @@ class TimerWheel {
   static constexpr int kSlotBits = 6;
   static constexpr std::uint64_t kSlots = 1ull << kSlotBits;  // 64
   static constexpr std::uint64_t kSlotMask = kSlots - 1;
+
   /// Every live node is linked on exactly one list: slot `slot` of level
   /// `level` is list level * kSlots + slot, then come the overflow list
   /// (beyond the level-3 horizon) and the due-now list (tick reached;

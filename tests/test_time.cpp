@@ -1,7 +1,8 @@
 // ldlp::time — hierarchical timer wheel, clock faults, timer oracles.
 //
 // Wheel-grain tests pin the contract edge cases (arm-in-past, cancel
-// after fire, horizon wrap, (deadline, seq) firing order, storm caps).
+// after fire, horizon wrap, (deadline, seq) firing order, storm caps,
+// rearm) and check the wheel against a brute-force model.
 // Schedule-grain tests round-trip the clock fault kinds through
 // ldlp.schedule.v1. The backoff-cap audit sweeps every retry surface —
 // TCP RTO, ARP re-request, DNS retry, RPC leg RTO, overlay probe —
@@ -192,7 +193,8 @@ TEST(Wheel, RearmKeepsAnUnchangedTimerAndDisarmsAtInfinity) {
 /// timers: next_deadline() is their minimum, each advance fires exactly
 /// the timers whose tick it reached in (deadline, arm order), and a
 /// storm picks timers in (deadline, id) order. Deadlines span the due-now
-/// list (arms in the past), all four levels and the overflow list.
+/// list (arms in the past), all four levels and the overflow list, and
+/// often tie.
 TEST(Wheel, AgreesWithABruteForceModel) {
   struct Live {
     double deadline;
@@ -220,7 +222,9 @@ TEST(Wheel, AgreesWithABruteForceModel) {
     const std::uint64_t op = rng.bounded(100);
     if (op < 50) {
       const std::size_t span = rng.bounded(std::size(spans));
-      const double deadline = now + rng.uniform() * spans[span];
+      double deadline = now + rng.uniform() * spans[span];
+      // Half the deadlines sit on a 10 ms grid, so ties are common.
+      if (rng.chance(0.5)) deadline = std::floor(deadline * 100.0) / 100.0;
       const time::TimerId id = w.arm(deadline, TimerClass::kCadence, [] {});
       model[id] = {deadline, ++seq};
     } else if (op < 75 && !model.empty()) {

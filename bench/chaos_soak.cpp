@@ -41,7 +41,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -53,6 +52,7 @@
 #include "bench_util.hpp"
 #include "soak_scenarios.hpp"
 #include "check/invariants.hpp"
+#include "check/judge.hpp"
 #include "check/oracle.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
@@ -107,30 +107,52 @@ bool timed_out() {
   return g_deadline_armed && std::chrono::steady_clock::now() >= g_deadline;
 }
 
-struct SoakResult {
-  bool pass = true;
-  std::string why;
+struct SoakResult : check::Verdict {
   std::string detail;  ///< Extra diagnostics printed under the reason.
-  std::vector<std::string> violations;  ///< Oracle + auditor findings.
+};
 
-  void fail(std::string reason) {
-    if (pass) why = std::move(reason);
-    pass = false;
+/// The judges every scenario runs under: an invariant auditor per host,
+/// stepped by the host's post-pass hook, and the recovery oracles,
+/// stepped once per scheduler pass by on_pass(). Each host is tracked
+/// with its injector, so the liveness clocks only start once its faults
+/// have cleared.
+struct Supervision {
+  std::vector<std::unique_ptr<check::HostAuditor>> auditors;
+  recover::ConvergenceOracle conv;
+  recover::ProgressWatchdog dog;
+
+  Supervision(recover::ConvergenceConfig conv_cfg,
+              recover::WatchdogConfig dog_cfg)
+      : conv(conv_cfg), dog(dog_cfg) {}
+
+  void supervise(stack::Host& host, fault::FaultInjector* injector) {
+    auditors.push_back(std::make_unique<check::HostAuditor>(host));
+    auditors.back()->install();
+    conv.add_host(host, injector);
+    dog.add_host(host, injector);
+  }
+
+  void on_pass() {
+    conv.on_pass();
+    dog.on_pass();
+  }
+
+  /// Fold the auditors', then the recovery oracles' findings into `r`.
+  void fold(SoakResult& r) const {
+    for (const auto& aud : auditors) r.fold(*aud, "audit");
+    r.fold(conv, "recover");
+    r.fold(dog, "recover");
   }
 };
 
 // ---------------------------------------------------------------------------
 
-struct Net {
+struct Net : Supervision {
   std::unique_ptr<stack::Host> a;
   std::unique_ptr<stack::Host> b;
   std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-  fault::FaultInjector* inj_a = nullptr;
-  fault::FaultInjector* inj_b = nullptr;
-  recover::ConvergenceOracle* conv_ = nullptr;
-  recover::ProgressWatchdog* dog_ = nullptr;
 
-  explicit Net(const check::Schedule& schedule) {
+  explicit Net(const check::Schedule& schedule) : Supervision({}, {}) {
     stack::HostConfig ca;
     ca.name = "a";
     ca.mac = {2, 0, 0, 0, 0, 1};
@@ -159,6 +181,8 @@ struct Net {
     a = std::make_unique<stack::Host>(ca);
     b = std::make_unique<stack::Host>(cb);
     stack::NetDevice::connect(a->device(), b->device());
+    fault::FaultInjector* inj_a = nullptr;
+    fault::FaultInjector* inj_b = nullptr;
     for (const check::InjectorSpec& spec : schedule.injectors) {
       stack::Host* host =
           spec.host == "a" ? a.get() : spec.host == "b" ? b.get() : nullptr;
@@ -168,6 +192,8 @@ struct Net {
       host->attach_fault(injectors.back().get());
       (host == a.get() ? inj_a : inj_b) = injectors.back().get();
     }
+    supervise(*a, inj_a);
+    supervise(*b, inj_b);
   }
 
   ~Net() {
@@ -182,20 +208,7 @@ struct Net {
     b->pump();
     a->pump();
     b->pump();
-    if (conv_ != nullptr) conv_->on_pass();
-    if (dog_ != nullptr) dog_->on_pass();
-  }
-
-  /// Put the run under recovery supervision: both hosts are tracked (with
-  /// their injectors, so the liveness clocks only start once the faults
-  /// have cleared) and every tick() counts as one oracle pass.
-  void watch(recover::ConvergenceOracle& conv, recover::ProgressWatchdog& dog) {
-    conv.add_host(*a, inj_a);
-    conv.add_host(*b, inj_b);
-    dog.add_host(*a, inj_a);
-    dog.add_host(*b, inj_b);
-    conv_ = &conv;
-    dog_ = &dog;
+    on_pass();
   }
 
   [[nodiscard]] bool faults_cleared() const {
@@ -215,51 +228,10 @@ struct Net {
       r.fail("faults never cleared (delayed frames or held mbufs remain)");
     a->attach_fault(nullptr);
     b->attach_fault(nullptr);
-    for (stack::Host* h : {a.get(), b.get()}) {
-      h->pump();
-      if (h->graph().backlog() != 0)
-        r.fail(h->name() + ": graph backlog not drained");
-      for (core::LayerId id = 0; id < h->graph().layer_count(); ++id) {
-        const core::Layer& layer = h->graph().layer(id);
-        if (layer.stats().max_queue > layer.queue_capacity())
-          r.fail(h->name() + "/" + layer.name() + ": queue bound exceeded");
-      }
-      if (h->pool().stats().mbufs_outstanding() != 0)
-        r.fail(h->name() + ": mbuf leak (" +
-               std::to_string(h->pool().stats().mbufs_outstanding()) +
-               " outstanding)");
-    }
+    check::check_teardown(*a, r);
+    check::check_teardown(*b, r);
   }
 };
-
-/// Fold conformance findings into the scenario result.
-void collect(SoakResult& r, const check::DeliveryOracle& oracle,
-             const check::HostAuditor& aud_a,
-             const check::HostAuditor& aud_b) {
-  for (const std::string& v : oracle.violations()) {
-    r.fail("delivery oracle: " + v);
-    r.violations.push_back("oracle: " + v);
-  }
-  for (const check::HostAuditor* aud : {&aud_a, &aud_b}) {
-    for (const std::string& v : aud->violations()) {
-      r.fail("invariant auditor: " + v);
-      r.violations.push_back("audit: " + v);
-    }
-  }
-}
-
-/// Fold liveness findings into the scenario result.
-void collect_recovery(SoakResult& r, const recover::ConvergenceOracle& conv,
-                      const recover::ProgressWatchdog& dog) {
-  for (const std::string& v : conv.violations()) {
-    r.fail("convergence oracle: " + v);
-    r.violations.push_back("recover: " + v);
-  }
-  for (const std::string& v : dog.violations()) {
-    r.fail("progress watchdog: " + v);
-    r.violations.push_back("recover: " + v);
-  }
-}
 
 SoakResult run_tcp(const check::Schedule& schedule,
                    std::size_t payload_bytes, std::size_t read_chunk) {
@@ -271,15 +243,6 @@ SoakResult run_tcp(const check::Schedule& schedule,
   // daemon after boot.
   const bool restarts = schedule.has_kind(fault::FaultKind::kHostRestart);
   Net net(schedule);
-  check::HostAuditor aud_a(*net.a);
-  check::HostAuditor aud_b(*net.b);
-  aud_a.install();
-  aud_b.install();
-
-  recover::ConvergenceOracle conv;
-  recover::ProgressWatchdog dog;
-  net.watch(conv, dog);
-
   check::DeliveryOracle oracle;
   oracle.set_allow_truncation(restarts);
   const auto flow = oracle.open_stream("a->b");
@@ -392,14 +355,14 @@ SoakResult run_tcp(const check::Schedule& schedule,
   // The application is done: from here on the stack owes convergence —
   // every pcb must reach a terminal or quiescent state within the
   // oracle's pass budget once the faults have cleared.
-  conv.arm();
+  net.conv.arm();
   for (int i = 0; i < 8 && !timed_out(); ++i) net.tick(1.0);
-  for (int i = 0; i < 2200 && !conv.settled() && !timed_out(); ++i)
+  for (int i = 0; i < 2200 && !net.conv.settled() && !timed_out(); ++i)
     net.tick(0.05);
   net.check(r);
-  (void)oracle.finalize();
-  collect(r, oracle, aud_a, aud_b);
-  collect_recovery(r, conv, dog);
+  oracle.finalize();
+  r.fold(oracle, "oracle");
+  net.fold(r);
   net.b->sockets().set_tap(nullptr);
   return r;
 }
@@ -407,15 +370,6 @@ SoakResult run_tcp(const check::Schedule& schedule,
 SoakResult run_dns(const check::Schedule& schedule) {
   SoakResult r;
   Net net(schedule);
-  check::HostAuditor aud_a(*net.a);
-  check::HostAuditor aud_b(*net.b);
-  aud_a.install();
-  aud_b.install();
-
-  recover::ConvergenceOracle conv;
-  recover::ProgressWatchdog dog;
-  net.watch(conv, dog);
-
   dns::DnsServer server(*net.b);
   constexpr int kNames = 8;
   for (int i = 0; i < kNames; ++i)
@@ -502,21 +456,18 @@ SoakResult run_dns(const check::Schedule& schedule) {
   }
   // No TCP state here, so convergence reduces to "faults cleared and the
   // graphs drain"; the watchdog still guards against silently held work.
-  conv.arm();
-  for (int i = 0; i < 40 && !conv.settled() && !timed_out(); ++i) {
+  net.conv.arm();
+  for (int i = 0; i < 40 && !net.conv.settled() && !timed_out(); ++i) {
     net.tick(0.1);
     server.poll();
     resolver.poll();
   }
   net.check(r);
-  (void)to_server.finalize();
-  (void)to_resolver.finalize();
-  collect(r, to_server, aud_a, aud_b);
-  collect_recovery(r, conv, dog);
-  for (const std::string& v : to_resolver.violations()) {
-    r.fail("delivery oracle: " + v);
-    r.violations.push_back("oracle: " + v);
-  }
+  to_server.finalize();
+  to_resolver.finalize();
+  r.fold(to_server, "oracle");
+  net.fold(r);
+  r.fold(to_resolver, "oracle");
   net.a->sockets().set_tap(nullptr);
   net.b->sockets().set_tap(nullptr);
   return r;
@@ -539,20 +490,22 @@ int fleet_host_index(const std::string& name) {
   return value;
 }
 
-struct FleetNet {
+// The fabric ticks hosts every 5 ms (vs the two-host harness's 50 ms), so
+// the recovery pass budgets scale 10x to cover the same sim-time
+// allowances: the full retransmit ladder into reset (~47 s) within the
+// convergence budget, the capped rto_max 8 s silent gap within the stall
+// window.
+struct FleetNet : Supervision {
   net::Fabric fabric;
   std::vector<net::HostId> hosts;
   std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-  std::vector<fault::FaultInjector*> host_inj;  ///< Per host; may be null.
-  std::vector<std::unique_ptr<check::HostAuditor>> auditors;
-  recover::ConvergenceOracle* conv_ = nullptr;
-  recover::ProgressWatchdog* dog_ = nullptr;
 
   explicit FleetNet(const check::Schedule& schedule,
                     std::size_t racks = kFleetRacks,
                     std::size_t hosts_per_rack = kFleetHostsPerRack,
                     std::size_t spines = kFleetSpines)
-      : fabric(net::FabricConfig{/*host_tick_sec=*/5e-3,
+      : Supervision({/*budget_passes=*/12000}, {/*stall_passes=*/2500}),
+        fabric(net::FabricConfig{/*host_tick_sec=*/5e-3,
                                  /*fault_seed=*/schedule.seed * 2 + 1}) {
     net::FatTreeConfig topo;
     topo.racks = racks;
@@ -568,7 +521,7 @@ struct FleetNet {
     topo.proto.tcp.keepalive_intvl_sec = 1.0;
     topo.proto.tcp.keepalive_probes = 4;
     hosts = net::build_fat_tree(fabric, topo);
-    host_inj.assign(hosts.size(), nullptr);
+    std::vector<fault::FaultInjector*> host_inj(hosts.size(), nullptr);
     for (const check::InjectorSpec& spec : schedule.injectors) {
       if (spec.host == "fabric") {
         fabric.set_fault_plan(spec.plan, spec.rng_seed);
@@ -583,11 +536,14 @@ struct FleetNet {
           .attach_fault(injectors.back().get());
       host_inj[static_cast<std::size_t>(index)] = injectors.back().get();
     }
-    auditors.reserve(hosts.size());
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      auditors.push_back(std::make_unique<check::HostAuditor>(host(i)));
-      auditors.back()->install();
-    }
+    // Fleet supervision: every host is tracked with its churn injector
+    // if any, the fabric's own faults_cleared gates both recovery clocks,
+    // and every fabric tick round counts as one pass.
+    for (std::size_t i = 0; i < hosts.size(); ++i)
+      supervise(host(i), host_inj[i]);
+    conv.add_clearance([this] { return fabric.faults_cleared(); });
+    dog.add_clearance([this] { return fabric.faults_cleared(); });
+    fabric.set_pass_hook([this] { on_pass(); });
   }
 
   ~FleetNet() {
@@ -597,25 +553,6 @@ struct FleetNet {
 
   [[nodiscard]] stack::Host& host(std::size_t i) {
     return fabric.host(hosts[i]);
-  }
-
-  /// Fleet supervision: every host is tracked (with its churn injector if
-  /// any), the fabric's own faults_cleared gates both oracles' clocks,
-  /// and every fabric tick round counts as one oracle pass.
-  void watch(recover::ConvergenceOracle& conv,
-             recover::ProgressWatchdog& dog) {
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      conv.add_host(host(i), host_inj[i]);
-      dog.add_host(host(i), host_inj[i]);
-    }
-    conv.add_clearance([this] { return fabric.faults_cleared(); });
-    dog.add_clearance([this] { return fabric.faults_cleared(); });
-    conv_ = &conv;
-    dog_ = &dog;
-    fabric.set_pass_hook([this] {
-      conv_->on_pass();
-      dog_->on_pass();
-    });
   }
 
   [[nodiscard]] bool faults_cleared() const {
@@ -637,21 +574,8 @@ struct FleetNet {
       r.fail("faults never cleared (active episodes or frames in flight)");
     for (std::size_t i = 0; i < hosts.size(); ++i)
       host(i).attach_fault(nullptr);
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      stack::Host& h = host(i);
-      h.pump();
-      if (h.graph().backlog() != 0)
-        r.fail(h.name() + ": graph backlog not drained");
-      for (core::LayerId id = 0; id < h.graph().layer_count(); ++id) {
-        const core::Layer& layer = h.graph().layer(id);
-        if (layer.stats().max_queue > layer.queue_capacity())
-          r.fail(h.name() + "/" + layer.name() + ": queue bound exceeded");
-      }
-      if (h.pool().stats().mbufs_outstanding() != 0)
-        r.fail(h.name() + ": mbuf leak (" +
-               std::to_string(h.pool().stats().mbufs_outstanding()) +
-               " outstanding)");
-    }
+    for (std::size_t i = 0; i < hosts.size(); ++i)
+      check::check_teardown(host(i), r);
     if (fabric.conservation_residual() != 0)
       r.fail("fabric conservation violated (residual " +
              std::to_string(fabric.conservation_residual()) + ")");
@@ -663,15 +587,6 @@ SoakResult run_fleet(const check::Schedule& schedule) {
   const std::uint64_t seed = schedule.seed;
   const bool restarts = schedule.has_kind(fault::FaultKind::kHostRestart);
   FleetNet net(schedule);
-
-  // The fabric ticks hosts every 5 ms (vs the two-host harness's 50 ms),
-  // so pass budgets scale 10x to cover the same sim-time allowances: the
-  // full retransmit ladder into reset (~47 s) within the convergence
-  // budget, the capped rto_max 8 s silent gap within the stall window.
-  recover::ConvergenceOracle conv({/*budget_passes=*/12000});
-  recover::ProgressWatchdog dog({/*stall_passes=*/2500});
-  net.watch(conv, dog);
-
   recover::PartitionHealOracle heal;
   heal.set_allow_truncation(restarts);
 
@@ -804,41 +719,25 @@ SoakResult run_fleet(const check::Schedule& schedule) {
     net.host(p.src).tcp().close(p.conn);
     if (p.accepted != stack::kNoPcb) net.host(p.dst).tcp().close(p.accepted);
   }
-  conv.arm();
+  net.conv.arm();
   for (int i = 0; i < 8 && !timed_out(); ++i) net.fabric.run_for(1.0);
-  for (int i = 0; i < 240 && !conv.settled() && !timed_out(); ++i)
+  for (int i = 0; i < 240 && !net.conv.settled() && !timed_out(); ++i)
     net.fabric.run_for(0.25);
   net.check(r);
-  (void)heal.finalize();
-  for (const std::string& v : heal.violations()) {
-    r.fail("partition-heal oracle: " + v);
-    r.violations.push_back("heal: " + v);
-  }
-  for (const auto& aud : net.auditors) {
-    for (const std::string& v : aud->violations()) {
-      r.fail("invariant auditor: " + v);
-      r.violations.push_back("audit: " + v);
-    }
-  }
-  collect_recovery(r, conv, dog);
-  if (r.pass && heal.stats().stream_bytes_delivered == 0)
+  heal.finalize();
+  r.fold(heal, "heal");
+  net.fold(r);
+  const check::OracleStats hs = heal.stats();
+  if (r.pass && hs.stream_bytes_delivered == 0)
     r.fail("no bytes crossed the fabric (traffic never started)");
-  if (std::getenv("LDLP_FLEET_DEBUG") != nullptr) {
-    const net::FabricTotals t = net.fabric.totals();
-    std::fprintf(stderr,
-                 "[fleet %llu] injected=%llu delivered=%llu qdrop=%llu "
-                 "fdrop=%llu heal_sent=%llu heal_rx=%llu sim_t=%.2f\n",
-                 static_cast<unsigned long long>(seed),
-                 static_cast<unsigned long long>(t.injected),
-                 static_cast<unsigned long long>(t.delivered),
-                 static_cast<unsigned long long>(t.queue_drops),
-                 static_cast<unsigned long long>(t.fault_drops),
-                 static_cast<unsigned long long>(
-                     heal.stats().stream_bytes_sent),
-                 static_cast<unsigned long long>(
-                     heal.stats().stream_bytes_delivered),
-                 net.fabric.now());
-  }
+  const net::FabricTotals t = net.fabric.totals();
+  r.detail = "injected=" + std::to_string(t.injected) +
+             " delivered=" + std::to_string(t.delivered) +
+             " qdrop=" + std::to_string(t.queue_drops) +
+             " fdrop=" + std::to_string(t.fault_drops) +
+             " heal_sent=" + std::to_string(hs.stream_bytes_sent) +
+             " heal_rx=" + std::to_string(hs.stream_bytes_delivered) +
+             " sim_t=" + std::to_string(net.fabric.now());
   for (std::size_t i = 0; i < kFleetHosts; ++i)
     net.host(i).sockets().set_tap(nullptr);
   return r;
@@ -856,10 +755,6 @@ SoakResult run_tail(const check::Schedule& schedule) {
   SoakResult r;
   FleetNet net(schedule, soak::kTailRacks, soak::kTailHostsPerRack,
                soak::kTailSpines);
-
-  recover::ConvergenceOracle conv({/*budget_passes=*/12000});
-  recover::ProgressWatchdog dog({/*stall_passes=*/2500});
-  net.watch(conv, dog);
 
   // Servers on the odd host indices, client on host 0. No CPU service
   // model: this scenario checks delivery, not latency distributions.
@@ -952,47 +847,28 @@ SoakResult run_tail(const check::Schedule& schedule) {
     if (servers[k]->stats().malformed != 0)
       r.fail(net.host(server_idx[k]).name() + ": malformed calls");
 
-  conv.arm();
-  for (int i = 0; i < 240 && !conv.settled() && !timed_out(); ++i)
+  net.conv.arm();
+  for (int i = 0; i < 240 && !net.conv.settled() && !timed_out(); ++i)
     net.fabric.run_for(0.25);
   net.check(r);
-  (void)reply_oracle.finalize();
-  for (const std::string& v : reply_oracle.violations()) {
-    r.fail("delivery oracle: " + v);
-    r.violations.push_back("reply: " + v);
-  }
+  reply_oracle.finalize();
+  r.fold(reply_oracle, "reply");
   for (std::size_t k = 0; k < call_oracles.size(); ++k) {
-    (void)call_oracles[k]->finalize();
-    for (const std::string& v : call_oracles[k]->violations()) {
-      r.fail("delivery oracle: " + v);
-      r.violations.push_back("call.h" + std::to_string(server_idx[k]) +
-                             ": " + v);
-    }
+    call_oracles[k]->finalize();
+    r.fold(*call_oracles[k], "call.h" + std::to_string(server_idx[k]));
   }
-  for (const auto& aud : net.auditors) {
-    for (const std::string& v : aud->violations()) {
-      r.fail("invariant auditor: " + v);
-      r.violations.push_back("audit: " + v);
-    }
-  }
-  collect_recovery(r, conv, dog);
+  net.fold(r);
   if (r.pass && cs.requests_completed == 0)
     r.fail("no requests completed (workload never started)");
-  if (std::getenv("LDLP_FLEET_DEBUG") != nullptr) {
-    const net::FabricTotals t = net.fabric.totals();
-    std::fprintf(stderr,
-                 "[tail %llu] completed=%llu/%llu calls=%llu rexmt=%llu "
-                 "stale=%llu fdrop=%llu qdrop=%llu sim_t=%.2f\n",
-                 static_cast<unsigned long long>(schedule.seed),
-                 static_cast<unsigned long long>(cs.requests_completed),
-                 static_cast<unsigned long long>(cs.requests_started),
-                 static_cast<unsigned long long>(cs.calls_sent),
-                 static_cast<unsigned long long>(cs.retransmits),
-                 static_cast<unsigned long long>(cs.stale_replies),
-                 static_cast<unsigned long long>(t.fault_drops),
-                 static_cast<unsigned long long>(t.queue_drops),
-                 net.fabric.now());
-  }
+  const net::FabricTotals t = net.fabric.totals();
+  r.detail = "completed=" + std::to_string(cs.requests_completed) + "/" +
+             std::to_string(cs.requests_started) +
+             " calls=" + std::to_string(cs.calls_sent) +
+             " rexmt=" + std::to_string(cs.retransmits) +
+             " stale=" + std::to_string(cs.stale_replies) +
+             " fdrop=" + std::to_string(t.fault_drops) +
+             " qdrop=" + std::to_string(t.queue_drops) +
+             " sim_t=" + std::to_string(net.fabric.now());
   for (std::size_t i = 0; i < soak::kTailHosts; ++i)
     net.host(i).sockets().set_tap(nullptr);
   for (std::size_t idx : server_idx) net.host(idx).udp().set_send_tap({});
@@ -1005,24 +881,17 @@ SoakResult run_tail(const check::Schedule& schedule) {
 // tests judge the identical implementation. This wrapper only maps the
 // result onto SoakResult and wires the per-seed wall deadline through.
 SoakResult run_gossip(const check::Schedule& schedule) {
-  SoakResult r;
   overlay::GossipSimConfig cfg;
   cfg.deadline = [] { return timed_out(); };
   const overlay::GossipSimResult g = overlay::run_gossip_sim(schedule, cfg);
-  if (!g.pass) r.fail(g.why);
-  r.violations = g.violations;
-  r.detail = "broadcasts=" + std::to_string(g.broadcasts) +
-             " deliveries=" + std::to_string(g.deliveries) +
-             " dup=" + std::to_string(g.duplicates) +
-             " grafts=" + std::to_string(g.grafts) +
-             " prunes=" + std::to_string(g.prunes) +
-             " repairs=" + std::to_string(g.repairs_done) +
-             " redundancy=" + std::to_string(g.relay_redundancy);
-  if (std::getenv("LDLP_FLEET_DEBUG") != nullptr)
-    std::fprintf(stderr, "[gossip %llu] %s sim_t=%.2f\n",
-                 static_cast<unsigned long long>(schedule.seed),
-                 r.detail.c_str(), g.sim_time_sec);
-  return r;
+  return {g, "broadcasts=" + std::to_string(g.broadcasts) +
+                " deliveries=" + std::to_string(g.deliveries) +
+                " dup=" + std::to_string(g.duplicates) +
+                " grafts=" + std::to_string(g.grafts) +
+                " prunes=" + std::to_string(g.prunes) +
+                " repairs=" + std::to_string(g.repairs_done) +
+                " redundancy=" + std::to_string(g.relay_redundancy) +
+                " sim_t=" + std::to_string(g.sim_time_sec)};
 }
 
 // Clocks scenario: the gossip sim with timer oracles armed. The
@@ -1032,25 +901,18 @@ SoakResult run_gossip(const check::Schedule& schedule) {
 // oracles. Wheel defaults apply — in particular shed_guard stays on;
 // the mutation check that reverts it lives in tests/test_time.cpp.
 SoakResult run_clocks(const check::Schedule& schedule) {
-  SoakResult r;
   overlay::GossipSimConfig cfg;
   cfg.timer_oracles = true;
   cfg.deadline = [] { return timed_out(); };
   const overlay::GossipSimResult g = overlay::run_gossip_sim(schedule, cfg);
-  if (!g.pass) r.fail(g.why);
-  r.violations = g.violations;
-  r.detail = "arms=" + std::to_string(g.timer_arms) +
-             " fires=" + std::to_string(g.timer_fires) +
-             " cancels=" + std::to_string(g.timer_cancels) +
-             " spurious=" + std::to_string(g.timer_spurious) +
-             " shed=" + std::to_string(g.timer_shed) +
-             " deliveries=" + std::to_string(g.deliveries) +
-             " repairs=" + std::to_string(g.repairs_done);
-  if (std::getenv("LDLP_FLEET_DEBUG") != nullptr)
-    std::fprintf(stderr, "[clocks %llu] %s sim_t=%.2f\n",
-                 static_cast<unsigned long long>(schedule.seed),
-                 r.detail.c_str(), g.sim_time_sec);
-  return r;
+  return {g, "arms=" + std::to_string(g.timer_arms) +
+                " fires=" + std::to_string(g.timer_fires) +
+                " cancels=" + std::to_string(g.timer_cancels) +
+                " spurious=" + std::to_string(g.timer_spurious) +
+                " shed=" + std::to_string(g.timer_shed) +
+                " deliveries=" + std::to_string(g.deliveries) +
+                " repairs=" + std::to_string(g.repairs_done) +
+                " sim_t=" + std::to_string(g.sim_time_sec)};
 }
 
 SoakResult run_schedule(const check::Schedule& schedule) {
@@ -1213,7 +1075,7 @@ int main(int argc, char** argv) {
         "protocol scenarios\n\n"
         "scenarios (--scenario=<name>; default sweep runs the unmarked "
         "ones):\n%s\n"
-        "flags: --seed_lo --seed_hi --seeds --scenario --jobs --check_jobs\n"
+        "flags: --seed_lo --seed_hi --scenario --jobs --check_jobs\n"
         "       --seed_timeout_ms --replay=<schedule.json> --verbose=1 "
         "--no_shrink=1 --out_dir\n",
         soak::scenario_help().c_str());
@@ -1230,12 +1092,9 @@ int main(int argc, char** argv) {
     return soak::default_timeout_ms(scenario);
   };
   const char* replay = flags.str("replay", nullptr);
-  // Seed range: --seed_lo/--seed_hi (half-open); --seed/--seeds remain as
-  // aliases so existing reproduce lines keep working.
-  const std::uint64_t seed_lo = flags.u64("seed_lo", flags.u64("seed", 1));
-  const std::uint64_t seed_hi =
-      flags.u64("seed_hi", seed_lo + flags.u64("seeds", 32));
-  const std::uint64_t seeds = seed_hi > seed_lo ? seed_hi - seed_lo : 0;
+  // Seed range: [--seed_lo, --seed_hi), 32 seeds by default.
+  const std::uint64_t seed_lo = flags.u64("seed_lo", 1);
+  const std::uint64_t seed_hi = flags.u64("seed_hi", seed_lo + 32);
   const bool verbose = flags.u64("verbose", 0) != 0;
   const bool no_shrink = flags.u64("no_shrink", 0) != 0;
   const std::string out_dir = flags.str("out_dir", ".");
@@ -1243,6 +1102,15 @@ int main(int argc, char** argv) {
   const std::uint64_t jobs = std::max<std::uint64_t>(1, flags.u64("jobs", 1));
   const std::uint64_t check_jobs = flags.u64("check_jobs", 0);
   flags.reject_unread();
+  if (seed_hi <= seed_lo) {
+    // An empty range would pass vacuously ("0/0 seeds passed").
+    std::fprintf(stderr, "error: empty seed range: --seed_hi=%llu <= "
+                 "--seed_lo=%llu\n",
+                 static_cast<unsigned long long>(seed_hi),
+                 static_cast<unsigned long long>(seed_lo));
+    return 2;
+  }
+  const std::uint64_t seeds = seed_hi - seed_lo;
 
   // --replay runs one serialised schedule and reports, nothing else.
   if (replay != nullptr) {

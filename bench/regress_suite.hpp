@@ -312,11 +312,11 @@ inline obs::BenchResult gate_fleet_soak() {
 
   std::size_t completed = 0;
   for (const Pair& p : pairs) completed += p.got >= p.payload.size();
-  (void)heal.finalize();
+  heal.finalize();
   const net::FabricTotals totals = fabric.totals();
   result.set_metric("completed_pairs", static_cast<double>(completed));
   result.set_metric("heal_violations",
-                    static_cast<double>(heal.stats().violations));
+                    static_cast<double>(heal.violation_count()));
   result.set_metric("conservation_residual",
                     static_cast<double>(fabric.conservation_residual()));
   result.set_metric("frames_delivered",

@@ -5,20 +5,12 @@
 namespace ldlp::check {
 namespace {
 
-constexpr std::size_t kMaxViolations = 64;
-
 [[nodiscard]] std::string msg_name(std::uint64_t key) {
   return "(" + std::to_string(static_cast<std::uint32_t>(key >> 32)) + "," +
          std::to_string(static_cast<std::uint32_t>(key)) + ")";
 }
 
 }  // namespace
-
-void BroadcastDeliveryOracle::violation(std::string what) {
-  ++stats_.violations;
-  if (violations_.size() < kMaxViolations)
-    violations_.push_back(std::move(what));
-}
 
 void BroadcastDeliveryOracle::broadcast(std::uint32_t origin,
                                         std::uint32_t seq,
@@ -76,27 +68,15 @@ bool BroadcastDeliveryOracle::complete(std::uint32_t node) const {
   });
 }
 
-bool BroadcastDeliveryOracle::finalize(
-    std::span<const std::uint32_t> members) {
+void BroadcastDeliveryOracle::finalize() {
   for (const auto& [k, msg] : messages_) {
-    for (const std::uint32_t node : members) {
+    for (const std::uint32_t node : members_) {
       if (unstable_.count(node) != 0) continue;
       if (msg.delivered_to.count(node) == 0)
         violation("node " + std::to_string(node) + " never delivered " +
                   msg_name(k));
     }
   }
-  return ok();
-}
-
-void BroadcastDeliveryOracle::publish(obs::Registry& registry,
-                                      std::string_view prefix) const {
-  const std::string p(prefix);
-  registry.counter(p + ".broadcasts").set(stats_.broadcasts);
-  registry.counter(p + ".deliveries").set(stats_.deliveries);
-  registry.counter(p + ".unstable_deliveries")
-      .set(stats_.unstable_deliveries);
-  registry.counter(p + ".violations").set(stats_.violations);
 }
 
 }  // namespace ldlp::check

@@ -5,7 +5,8 @@
 // exactly what an application handed to the overlay. The receive side is
 // the overlay's deliver hook on every node: delivered(node, origin, seq,
 // payload) checks each delivery against the truth. The contract — for
-// members that stay live and connected — is *exactly-once, byte-exact*
+// the members named at construction that stay live and connected — is
+// *exactly-once, byte-exact*
 // per (origin, seq): no phantom messages, no corrupted payloads, no
 // double delivery, and at finalize() no member missing any message.
 //
@@ -25,7 +26,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "check/judge.hpp"
 
 namespace ldlp::check {
 
@@ -33,11 +34,18 @@ struct BroadcastStats {
   std::uint64_t broadcasts = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t unstable_deliveries = 0;  ///< Excused (churned node).
-  std::uint64_t violations = 0;
 };
 
-class BroadcastDeliveryOracle {
+class BroadcastDeliveryOracle final : public Judge {
  public:
+  /// `members` are the nodes every broadcast must reach.
+  explicit BroadcastDeliveryOracle(std::vector<std::uint32_t> members)
+      : members_(std::move(members)) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "broadcast oracle";
+  }
+
   /// Send-side ground truth: `origin` broadcast message `seq` with
   /// `payload`. Call once per broadcast, before any node can deliver it.
   void broadcast(std::uint32_t origin, std::uint32_t seq,
@@ -51,23 +59,15 @@ class BroadcastDeliveryOracle {
   /// host crashed (or churned) mid-run, wiping its delivered-set.
   void mark_unstable(std::uint32_t node);
 
-  /// End-of-run completeness: every stable member in `members` must have
-  /// delivered every broadcast message. Returns ok().
-  bool finalize(std::span<const std::uint32_t> members);
+  /// End-of-run completeness: every stable member must have delivered
+  /// every broadcast message.
+  void finalize() override;
 
   /// (delivered(node, ·) for all broadcasts)? Lets the harness drain the
   /// sim until completeness instead of guessing a fixed horizon.
   [[nodiscard]] bool complete(std::uint32_t node) const;
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const BroadcastStats& stats() const noexcept { return stats_; }
-
-  /// Mirror totals into an obs registry as <prefix>.* counters.
-  void publish(obs::Registry& registry,
-               std::string_view prefix = "check.broadcast") const;
 
  private:
   struct Message {
@@ -79,11 +79,10 @@ class BroadcastDeliveryOracle {
                                          std::uint32_t seq) noexcept {
     return (static_cast<std::uint64_t>(origin) << 32) | seq;
   }
-  void violation(std::string what);
 
+  std::vector<std::uint32_t> members_;
   std::map<std::uint64_t, Message> messages_;  ///< Ordered for finalize().
   std::set<std::uint32_t> unstable_;
-  std::vector<std::string> violations_;
   BroadcastStats stats_;
 };
 

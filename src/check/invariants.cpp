@@ -12,10 +12,10 @@ HostAuditor::HostAuditor(stack::Host& host, std::string label)
     : host_(host), label_(label.empty() ? host.name() : std::move(label)) {}
 
 void HostAuditor::install() {
-  host_.set_post_pass_hook([this] { run(); });
+  host_.set_post_pass_hook([this] { on_pass(); });
 }
 
-void HostAuditor::run() {
+void HostAuditor::on_pass() {
   ++stats_.passes;
   audit_tcp();
   audit_reassembly();
@@ -139,17 +139,24 @@ void HostAuditor::audit_arp() {
 }
 
 void HostAuditor::violation(const std::string& what) {
-  ++stats_.violations;
   // The simulated time pins which scheduler pass exposed the state.
-  violations_.push_back("[t=" + std::to_string(host_.now()) + "] " + what);
+  Judge::violation("[t=" + std::to_string(host_.now()) + "] " + what);
 }
 
-void HostAuditor::publish(obs::Registry& registry,
-                          std::string_view prefix) const {
-  const std::string p(prefix);
-  registry.counter(p + ".passes").set(stats_.passes);
-  registry.counter(p + ".pcbs_checked").set(stats_.pcbs_checked);
-  registry.counter(p + ".violations").set(stats_.violations);
+void check_teardown(stack::Host& host, Verdict& verdict) {
+  host.pump();
+  if (host.graph().backlog() != 0)
+    verdict.fail(host.name() + ": graph backlog not drained");
+  for (core::LayerId id = 0; id < host.graph().layer_count(); ++id) {
+    const core::Layer& layer = host.graph().layer(id);
+    if (layer.stats().max_queue > layer.queue_capacity())
+      verdict.fail(host.name() + "/" + layer.name() +
+                   ": queue bound exceeded");
+  }
+  if (host.pool().stats().mbufs_outstanding() != 0)
+    verdict.fail(host.name() + ": mbuf leak (" +
+                 std::to_string(host.pool().stats().mbufs_outstanding()) +
+                 " outstanding)");
 }
 
 }  // namespace ldlp::check

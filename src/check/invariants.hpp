@@ -19,7 +19,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "check/judge.hpp"
 #include "stack/host.hpp"
 
 namespace ldlp::check {
@@ -27,10 +27,9 @@ namespace ldlp::check {
 struct AuditorStats {
   std::uint64_t passes = 0;       ///< Audit sweeps run.
   std::uint64_t pcbs_checked = 0;
-  std::uint64_t violations = 0;
 };
 
-class HostAuditor {
+class HostAuditor final : public Judge {
  public:
   explicit HostAuditor(stack::Host& host, std::string label = {});
 
@@ -38,29 +37,25 @@ class HostAuditor {
   /// previous hook; one auditor per host).
   void install();
 
+  [[nodiscard]] std::string_view name() const override {
+    return "invariant auditor";
+  }
+
   /// One audit sweep over TCP PCBs and their demux index, the IP
   /// reassembly table and the ARP cache, plus every registered extra
   /// audit. Safe to call directly (tests do) as well as from the hook.
-  void run();
+  void on_pass() override;
 
   /// Register a subsystem-supplied audit: it returns the violations it
-  /// found this sweep (empty = clean) and runs on every run(). This is how
-  /// structures the auditor cannot know about — the ldlp::pipe stage
-  /// queues and their mbuf-ownership invariant — join the per-pass sweep
-  /// without a check -> pipe dependency.
+  /// found this sweep (empty = clean) and runs on every on_pass(). This
+  /// is how structures the auditor cannot know about — the ldlp::pipe
+  /// stage queues and their mbuf-ownership invariant — join the per-pass
+  /// sweep without a check -> pipe dependency.
   void add_audit(std::function<std::vector<std::string>()> audit) {
     extra_audits_.push_back(std::move(audit));
   }
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const AuditorStats& stats() const noexcept { return stats_; }
-
-  /// Mirror totals into an obs registry as <prefix>.* counters.
-  void publish(obs::Registry& registry,
-               std::string_view prefix = "check.audit") const;
 
  private:
   /// Last-seen per-incarnation state for monotonicity checks. A PCB slot
@@ -77,14 +72,19 @@ class HostAuditor {
   void audit_tcp();
   void audit_reassembly();
   void audit_arp();
+  /// Judge::violation, prefixed with the host clock as "[t=<now>] ".
   void violation(const std::string& what);
 
   stack::Host& host_;
   std::string label_;
   std::vector<std::function<std::vector<std::string>()>> extra_audits_;
   std::map<std::uint32_t, PcbTrack> tracks_;
-  std::vector<std::string> violations_;
   AuditorStats stats_;
 };
+
+/// Teardown hygiene for a host whose run is over: pump it once more,
+/// then fail `verdict` if its graph backlog is not drained, a layer's
+/// queue ever exceeded its capacity, or an mbuf is still outstanding.
+void check_teardown(stack::Host& host, Verdict& verdict);
 
 }  // namespace ldlp::check

@@ -103,7 +103,7 @@ void DeliveryOracle::on_datagram(stack::SocketId id,
   }
 }
 
-bool DeliveryOracle::finalize() {
+void DeliveryOracle::finalize() {
   for (const StreamFlow& f : streams_) {
     if (f.poisoned) continue;  // already condemned with a better message
     if (allow_truncation_) continue;  // prefix-exactness already enforced
@@ -113,12 +113,6 @@ bool DeliveryOracle::finalize() {
                 std::to_string(f.sent.size()) + " sent bytes delivered");
     }
   }
-  return ok();
-}
-
-void DeliveryOracle::violation(std::string what) {
-  ++stats_.violations;
-  violations_.push_back(std::move(what));
 }
 
 void DeliveryOracle::publish(obs::Registry& registry,
@@ -131,7 +125,7 @@ void DeliveryOracle::publish(obs::Registry& registry,
   registry.counter(p + ".datagrams_delivered").set(stats_.datagrams_delivered);
   registry.counter(p + ".datagram_duplicates")
       .set(stats_.datagram_duplicates);
-  registry.counter(p + ".violations").set(stats_.violations);
+  registry.counter(p + ".violations").set(violation_count());
 }
 
 }  // namespace ldlp::check

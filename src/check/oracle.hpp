@@ -28,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "check/judge.hpp"
 #include "obs/metrics.hpp"
 #include "stack/socket_layer.hpp"
 
@@ -39,10 +40,9 @@ struct OracleStats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_delivered = 0;
   std::uint64_t datagram_duplicates = 0;  ///< Allowed re-deliveries seen.
-  std::uint64_t violations = 0;
 };
 
-class DeliveryOracle final : public stack::SocketTap {
+class DeliveryOracle final : public Judge, public stack::SocketTap {
  public:
   using FlowId = std::uint32_t;
 
@@ -83,15 +83,14 @@ class DeliveryOracle final : public stack::SocketTap {
                         std::span<const std::uint8_t> bytes) override;
   void on_datagram(stack::SocketId id, const stack::Datagram& dgram) override;
 
+  [[nodiscard]] std::string_view name() const override {
+    return "delivery oracle";
+  }
+
   /// End-of-run check: every stream flow must have delivered everything
   /// that was sent (datagram flows are at-most-once, so nothing to add).
-  /// Returns ok().
-  bool finalize();
+  void finalize() override;
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const OracleStats& stats() const noexcept { return stats_; }
 
   /// Mirror totals into an obs registry as <prefix>.* counters.
@@ -114,15 +113,12 @@ class DeliveryOracle final : public stack::SocketTap {
         payloads;
   };
 
-  void violation(std::string what);
-
   std::vector<StreamFlow> streams_;
   std::vector<DatagramFlow> datagrams_;
   std::map<stack::SocketId, FlowId> stream_rx_;
   std::map<stack::SocketId, FlowId> datagram_rx_;
   bool allow_duplicates_ = false;
   bool allow_truncation_ = false;
-  std::vector<std::string> violations_;
   OracleStats stats_;
 };
 

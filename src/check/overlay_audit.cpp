@@ -5,9 +5,7 @@
 namespace ldlp::check {
 namespace {
 
-constexpr std::size_t kMaxViolations = 64;
-
-[[nodiscard]] bool contains(std::span<const std::uint32_t> ids,
+[[nodiscard]] bool contains(const std::vector<std::uint32_t>& ids,
                             std::uint32_t id) noexcept {
   return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
@@ -17,12 +15,6 @@ constexpr std::size_t kMaxViolations = 64;
 }
 
 }  // namespace
-
-void ViewAuditor::violation(std::string what) {
-  ++stats_.violations;
-  if (violations_.size() < kMaxViolations)
-    violations_.push_back(std::move(what));
-}
 
 void ViewAuditor::audit_one(const OverlayView& view, double now_sec) {
   ++stats_.views_checked;
@@ -60,22 +52,23 @@ void ViewAuditor::audit_one(const OverlayView& view, double now_sec) {
   }
 }
 
-void ViewAuditor::audit(std::span<const OverlayView> views, double now_sec) {
+void ViewAuditor::on_pass() {
   ++stats_.passes;
-  for (const OverlayView& view : views) {
+  const double now_sec = clock_();
+  for (const OverlayView& view : views_) {
     if (!view.live) continue;
     audit_one(view, now_sec);
   }
 }
 
-void ViewAuditor::final_audit(std::span<const OverlayView> views,
-                              double now_sec) {
-  audit(views, now_sec);
+void ViewAuditor::finalize() {
+  on_pass();
+  const double now_sec = clock_();
   // Link symmetry across the live fleet: a in b.active => b in a.active.
-  for (const OverlayView& a : views) {
+  for (const OverlayView& a : views_) {
     if (!a.live) continue;
     for (const std::uint32_t peer : a.active) {
-      for (const OverlayView& b : views) {
+      for (const OverlayView& b : views_) {
         if (b.self != peer || !b.live) continue;
         if (!contains(b.active, a.self))
           violation("asymmetric link" + at(now_sec) + ": " +
@@ -84,14 +77,6 @@ void ViewAuditor::final_audit(std::span<const OverlayView> views,
       }
     }
   }
-}
-
-void ViewAuditor::publish(obs::Registry& registry,
-                          std::string_view prefix) const {
-  const std::string p(prefix);
-  registry.counter(p + ".passes").set(stats_.passes);
-  registry.counter(p + ".views_checked").set(stats_.views_checked);
-  registry.counter(p + ".violations").set(stats_.violations);
 }
 
 }  // namespace ldlp::check

@@ -14,7 +14,7 @@
 //   * active and passive views are disjoint;
 //   * the eager/lazy dissemination sets partition the active view.
 //
-// Eventual invariant (checked by final_audit() after the fault horizon,
+// Eventual invariant (checked by finalize() after the fault horizon,
 // once the convergence oracle says views stopped moving):
 //   * link symmetry — if a is in b's active view then b is in a's;
 //     HyParView repairs asymmetry reactively, so transient asymmetry
@@ -22,12 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "check/judge.hpp"
 
 namespace ldlp::check {
 
@@ -48,37 +48,38 @@ struct OverlayView {
 struct ViewAuditorStats {
   std::uint64_t passes = 0;
   std::uint64_t views_checked = 0;
-  std::uint64_t violations = 0;
 };
 
-class ViewAuditor {
+class ViewAuditor final : public Judge {
  public:
+  /// Audit `views` (refreshed by the caller before every pass; it must
+  /// outlive the auditor), stamping findings with `clock()`.
+  ViewAuditor(const std::vector<OverlayView>& views,
+              std::function<double()> clock)
+      : views_(views), clock_(std::move(clock)) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "view auditor";
+  }
+
   /// One audit sweep over the fleet's views (per-pass invariants only).
   /// Dead nodes (live == false) are skipped — a crashed host's state is
   /// not required to be sane, only its reborn state is.
-  void audit(std::span<const OverlayView> views, double now_sec);
+  void on_pass() override;
 
   /// End-of-run audit: per-pass invariants plus link symmetry. Call
   /// after the convergence oracle reports stable views.
-  void final_audit(std::span<const OverlayView> views, double now_sec);
+  void finalize() override;
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const ViewAuditorStats& stats() const noexcept {
     return stats_;
   }
 
-  /// Mirror totals into an obs registry as <prefix>.* counters.
-  void publish(obs::Registry& registry,
-               std::string_view prefix = "check.overlay") const;
-
  private:
   void audit_one(const OverlayView& view, double now_sec);
-  void violation(std::string what);
 
-  std::vector<std::string> violations_;
+  const std::vector<OverlayView>& views_;
+  std::function<double()> clock_;
   ViewAuditorStats stats_;
 };
 

@@ -10,7 +10,7 @@ namespace ldlp::check {
 TimerAuditor::TimerAuditor(stack::Host& host, std::string label)
     : host_(host), label_(label.empty() ? host.name() : std::move(label)) {}
 
-void TimerAuditor::run() {
+void TimerAuditor::on_pass() {
   ++stats_.passes;
 
   // Clocks only move forward. The virtual clock may run fast or slow
@@ -53,7 +53,7 @@ void TimerAuditor::run() {
   }
 }
 
-void TimerAuditor::final_audit() {
+void TimerAuditor::finalize() {
   // Account for every legitimately-armed timer; the remainder leaked.
   const time::TimerWheel& wheel = host_.wheel();
   std::size_t accounted = 0;
@@ -74,8 +74,7 @@ void TimerAuditor::final_audit() {
 }
 
 void TimerAuditor::violation(const std::string& what) {
-  ++stats_.violations;
-  violations_.push_back("[t=" + std::to_string(host_.now()) + "] " + what);
+  Judge::violation("[t=" + std::to_string(host_.now()) + "] " + what);
 }
 
 }  // namespace ldlp::check

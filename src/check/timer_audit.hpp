@@ -19,15 +19,15 @@
 //     Anything else is a wakeup some destroyed object forgot to cancel —
 //     a use-after-free waiting for the fire.
 //
-// Drive run() from the fabric pass hook (it does not take the host's
-// post-pass hook, which belongs to the HostAuditor) and final_audit()
-// after teardown.
+// Drive on_pass() from the fabric pass hook (it does not take the host's
+// post-pass hook, which belongs to the HostAuditor) and finalize() after
+// teardown.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "check/judge.hpp"
 #include "stack/host.hpp"
 
 namespace ldlp::check {
@@ -35,36 +35,35 @@ namespace ldlp::check {
 struct TimerAuditorStats {
   std::uint64_t passes = 0;
   std::uint64_t timers_checked = 0;  ///< Armed PCB timers reconciled.
-  std::uint64_t violations = 0;
 };
 
-class TimerAuditor {
+class TimerAuditor final : public Judge {
  public:
   explicit TimerAuditor(stack::Host& host, std::string label = {});
 
+  [[nodiscard]] std::string_view name() const override {
+    return "timer auditor";
+  }
+
   /// One sweep: clock monotonicity + per-PCB wheel reconciliation.
-  void run();
+  void on_pass() override;
 
   /// Teardown check: every armed timer is a live PCB's consolidated
   /// timer or the ARP retry timer; anything else leaked.
-  void final_audit();
+  void finalize() override;
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const TimerAuditorStats& stats() const noexcept {
     return stats_;
   }
 
  private:
+  /// Judge::violation, prefixed with the host clock as "[t=<now>] ".
   void violation(const std::string& what);
 
   stack::Host& host_;
   std::string label_;
   double last_virtual_ = 0.0;
   double last_real_ = 0.0;
-  std::vector<std::string> violations_;
   TimerAuditorStats stats_;
 };
 

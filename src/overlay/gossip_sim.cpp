@@ -90,7 +90,8 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
     return true;
   };
 
-  // Per-host structural auditors, as every fleet scenario installs.
+  // Per-host structural auditors, as every fleet scenario installs; each
+  // runs from its host's post-pass hook.
   std::vector<std::unique_ptr<check::HostAuditor>> auditors;
   auditors.reserve(hosts.size());
   for (const net::HostId id : hosts) {
@@ -99,7 +100,8 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
   }
 
   // Timer oracles (the `clocks` scenario): TimerAuditor per host plus
-  // one DeadlineOracle observing every wheel.
+  // one DeadlineOracle observing every wheel, attached before the overlay
+  // endpoints arm their first timers.
   std::vector<std::unique_ptr<check::TimerAuditor>> timer_auditors;
   recover::DeadlineOracle deadlines;
   if (config.timer_oracles) {
@@ -123,11 +125,19 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
         fabric.host(hosts[i]), net::host_ip(static_cast<std::uint32_t>(i)),
         overlay_cfg));
 
-  // The three overlay oracles.
-  check::BroadcastDeliveryOracle delivery;
-  check::ViewAuditor views_auditor;
-  recover::OverlayConvergenceOracle conv;
+  // The three overlay oracles, over the views the pass hook refreshes.
+  std::vector<check::OverlayView> views(nodes.size());
+  std::vector<std::uint32_t> members;
+  for (const auto& node : nodes) members.push_back(node->id());
+  check::BroadcastDeliveryOracle delivery(std::move(members));
+  check::ViewAuditor views_auditor(views, [&] { return fabric.now(); });
+  recover::OverlayConvergenceOracle conv(views);
   conv.add_clearance(faults_cleared);
+  std::vector<check::Judge*> per_pass = {&views_auditor, &conv};
+  if (config.timer_oracles) {
+    for (const auto& ta : timer_auditors) per_pass.push_back(ta.get());
+    per_pass.push_back(&deadlines);
+  }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (restart_victim[i]) delivery.mark_unstable(nodes[i]->id());
     OverlayNode* node = nodes[i].get();
@@ -137,21 +147,19 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
         });
   }
 
-  // Per tick round: poll every endpoint, snapshot the views, audit.
-  std::vector<check::OverlayView> views(nodes.size());
-  fabric.set_pass_hook([&] {
-    const double now = fabric.now();
-    for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i]->poll(now);
+  // Per tick round: poll every endpoint, snapshot the views, step the
+  // judges.
+  const auto refresh_views = [&] {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       nodes[i]->fill_view(views[i]);
       views[i].live = host_inj[i] == nullptr || !host_inj[i]->host_down();
     }
-    views_auditor.audit(views, now);
-    conv.on_pass(views);
-    if (config.timer_oracles) {
-      for (const auto& ta : timer_auditors) ta->run();
-      deadlines.on_pass();
-    }
+  };
+  fabric.set_pass_hook([&] {
+    const double now = fabric.now();
+    for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i]->poll(now);
+    refresh_views();
+    for (check::Judge* judge : per_pass) judge->on_pass();
   });
 
   // Phase 1+2 are interleaved: joins stagger across join_window_sec while
@@ -249,28 +257,13 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
     r.fail("broadcast delivery incomplete after drain");
 
   // Phase 4: judgement. Final view snapshot for the shape checks.
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    nodes[i]->fill_view(views[i]);
-    views[i].live = host_inj[i] == nullptr || !host_inj[i]->host_down();
-  }
-  views_auditor.final_audit(views, fabric.now());
-  (void)conv.finalize(views);
-  std::vector<std::uint32_t> members;
-  for (const auto& node : nodes) members.push_back(node->id());
-  (void)delivery.finalize(members);
-
-  for (const std::string& v : views_auditor.violations()) {
-    r.fail("view auditor: " + v);
-    r.violations.push_back("view: " + v);
-  }
-  for (const std::string& v : conv.violations()) {
-    r.fail("overlay convergence: " + v);
-    r.violations.push_back("conv: " + v);
-  }
-  for (const std::string& v : delivery.violations()) {
-    r.fail("broadcast oracle: " + v);
-    r.violations.push_back("bcast: " + v);
-  }
+  refresh_views();
+  views_auditor.finalize();
+  conv.finalize();
+  delivery.finalize();
+  r.fold(views_auditor, "view");
+  r.fold(conv, "conv");
+  r.fold(delivery, "bcast");
 
   // Fabric hygiene, exactly as the fleet scenario asserts it: faults
   // drained, graphs empty, pools leak-free, frame ledger balanced. Mute
@@ -294,25 +287,11 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
   if (!faults_cleared() && !expired())
     r.fail("faults never cleared (active episodes or frames in flight)");
   for (const net::HostId id : hosts) fabric.host(id).attach_fault(nullptr);
-  for (const net::HostId id : hosts) {
-    stack::Host& h = fabric.host(id);
-    h.pump();
-    if (h.graph().backlog() != 0)
-      r.fail(h.name() + ": graph backlog not drained");
-    if (h.pool().stats().mbufs_outstanding() != 0)
-      r.fail(h.name() + ": mbuf leak (" +
-             std::to_string(h.pool().stats().mbufs_outstanding()) +
-             " outstanding)");
-  }
+  for (const net::HostId id : hosts) check::check_teardown(fabric.host(id), r);
   if (fabric.conservation_residual() != 0)
     r.fail("fabric conservation violated (residual " +
            std::to_string(fabric.conservation_residual()) + ")");
-  for (const auto& aud : auditors) {
-    for (const std::string& v : aud->violations()) {
-      r.fail("invariant auditor: " + v);
-      r.violations.push_back("audit: " + v);
-    }
-  }
+  for (const auto& aud : auditors) r.fold(*aud, "audit");
 
   // Evidence summary.
   LogHistogram repair_hist(1e-3, 1e2, 20);
@@ -357,18 +336,12 @@ GossipSimResult run_gossip_sim(const check::Schedule& schedule,
   if (config.timer_oracles) {
     nodes.clear();
     for (const auto& ta : timer_auditors) {
-      ta->final_audit();
-      for (const std::string& v : ta->violations()) {
-        r.fail("timer auditor: " + v);
-        r.violations.push_back("timer: " + v);
-      }
+      ta->finalize();
+      r.fold(*ta, "timer");
     }
     deadlines.finalize();
     deadlines.detach();
-    for (const std::string& v : deadlines.violations()) {
-      r.fail("deadline oracle: " + v);
-      r.violations.push_back("deadline: " + v);
-    }
+    r.fold(deadlines, "deadline");
   }
   for (const net::HostId id : hosts) {
     const time::WheelStats& ws = fabric.host(id).wheel().stats();

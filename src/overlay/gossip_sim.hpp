@@ -15,11 +15,11 @@
 //      graft back in) until the OverlayConvergenceOracle reports the
 //      views held still and the BroadcastDeliveryOracle reports every
 //      stable member delivered everything;
-//   4. judgement — ViewAuditor::final_audit (link symmetry),
+//   4. judgement — ViewAuditor::finalize (link symmetry),
 //      OverlayConvergenceOracle::finalize (single connected eager tree),
 //      BroadcastDeliveryOracle::finalize (exactly-once completeness),
-//      plus the fabric's own conservation ledger and the per-host
-//      invariant auditors.
+//      plus the fabric's own conservation ledger, the per-host teardown
+//      check (check::check_teardown) and invariant auditors.
 //
 // Everything is a deterministic function of the check::Schedule, so
 // ldlp.schedule.v1 replay and the ddmin shrinker work on gossip seeds
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "check/judge.hpp"
 #include "check/schedule.hpp"
 #include "overlay/overlay.hpp"
 #include "time/timer_wheel.hpp"
@@ -69,11 +70,9 @@ struct GossipSimConfig {
   std::function<bool()> deadline;
 };
 
-struct GossipSimResult {
-  bool pass = true;
-  std::string why;  ///< First failure (empty when pass).
-  std::vector<std::string> violations;
-
+/// The verdict (pass, first failure, tagged judge findings) plus the
+/// run's protocol evidence.
+struct GossipSimResult : check::Verdict {
   // Aggregated protocol evidence (summed over nodes).
   std::uint64_t broadcasts = 0;
   std::uint64_t deliveries = 0;
@@ -99,11 +98,6 @@ struct GossipSimResult {
   double delivery_completeness = 0.0;
   double repair_p99_sec = 0.0;  ///< 0 when no repair completed.
   double sim_time_sec = 0.0;
-
-  void fail(const std::string& reason) {
-    pass = false;
-    if (why.empty()) why = reason;
-  }
 };
 
 /// Run one gossip scenario for `schedule` (fault plans parsed exactly as

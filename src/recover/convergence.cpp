@@ -83,15 +83,13 @@ void ConvergenceOracle::flag_violations() {
                     static_cast<unsigned long long>(ready_passes_),
                     p.unsent_bytes(), p.rtx.size(), p.ooo.size(),
                     p.fin_queued ? 1 : 0);
-      violations_.emplace_back(line);
-      ++stats_.violations;
+      violation(line);
     }
   }
-  if (violations_.empty()) {
+  if (ok()) {
     // Defensive: flag_violations is only called when !converged(), but a
     // pcb freed between the check and the walk must still leave a trace.
-    violations_.emplace_back("convergence budget exceeded");
-    ++stats_.violations;
+    violation("convergence budget exceeded");
   }
 }
 
@@ -100,7 +98,7 @@ void ConvergenceOracle::publish(obs::Registry& registry,
   const std::string p(prefix);
   registry.counter(p + ".passes").set(stats_.passes);
   registry.counter(p + ".passes_to_converge").set(stats_.passes_to_converge);
-  registry.counter(p + ".violations").set(stats_.violations);
+  registry.counter(p + ".violations").set(violation_count());
 }
 
 }  // namespace ldlp::recover

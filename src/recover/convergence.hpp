@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "check/judge.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "stack/host.hpp"
@@ -40,12 +41,15 @@ struct ConvergenceConfig {
 struct ConvergenceStats {
   std::uint64_t passes = 0;             ///< on_pass() calls observed.
   std::uint64_t passes_to_converge = 0; ///< Budget passes used (0 = not yet).
-  std::uint64_t violations = 0;
 };
 
-class ConvergenceOracle {
+class ConvergenceOracle final : public check::Judge {
  public:
   explicit ConvergenceOracle(ConvergenceConfig cfg = {}) : cfg_(cfg) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "convergence oracle";
+  }
 
   /// Track a host. `injector` may be nullptr (treated as always cleared).
   void add_host(stack::Host& host, fault::FaultInjector* injector = nullptr);
@@ -64,7 +68,7 @@ class ConvergenceOracle {
   void arm() noexcept { armed_ = true; }
 
   /// Call once per scheduler pass (after the hosts' advance+pump tick).
-  void on_pass();
+  void on_pass() override;
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }
   /// Armed and every tracked injector reports faults cleared.
@@ -74,10 +78,6 @@ class ConvergenceOracle {
   /// ready() && converged() — the harness's drain loop may stop here.
   [[nodiscard]] bool settled() const { return ready() && converged(); }
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const ConvergenceStats& stats() const noexcept {
     return stats_;
   }
@@ -107,7 +107,6 @@ class ConvergenceOracle {
   bool armed_ = false;
   bool flagged_ = false;
   std::uint64_t ready_passes_ = 0;
-  std::vector<std::string> violations_;
   ConvergenceStats stats_;
 };
 

@@ -84,18 +84,4 @@ void DeadlineOracle::sweep() {
   }
 }
 
-void DeadlineOracle::violation(const std::string& what) {
-  violations_.push_back(what);
-}
-
-void DeadlineOracle::publish(obs::Registry& registry,
-                             std::string_view prefix) const {
-  const std::string p(prefix);
-  registry.counter(p + ".arms").set(stats_.arms);
-  registry.counter(p + ".fires").set(stats_.fires);
-  registry.counter(p + ".cancels").set(stats_.cancels);
-  registry.counter(p + ".sheds").set(stats_.sheds);
-  registry.counter(p + ".violations").set(violations_.size());
-}
-
 }  // namespace ldlp::recover

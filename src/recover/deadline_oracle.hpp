@@ -27,7 +27,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "check/judge.hpp"
 #include "stack/host.hpp"
 #include "time/timer_wheel.hpp"
 
@@ -48,11 +48,11 @@ struct DeadlineOracleStats {
   std::uint64_t passes = 0;
 };
 
-class DeadlineOracle {
+class DeadlineOracle final : public check::Judge {
  public:
   explicit DeadlineOracle(DeadlineOracleConfig config = {})
       : cfg_(config) {}
-  ~DeadlineOracle() { detach(); }
+  ~DeadlineOracle() override { detach(); }
   DeadlineOracle(const DeadlineOracle&) = delete;
   DeadlineOracle& operator=(const DeadlineOracle&) = delete;
 
@@ -64,23 +64,20 @@ class DeadlineOracle {
   /// are destroyed if the oracle dies first).
   void detach();
 
+  [[nodiscard]] std::string_view name() const override {
+    return "deadline oracle";
+  }
+
   /// Overdue-armed sweep; call once per fabric tick round.
-  void on_pass();
+  void on_pass() override;
 
   /// Final sweep. Timers still armed with future deadlines are fine —
   /// teardown cancels them — but overdue ones are condemned.
-  void finalize() { sweep(); }
+  void finalize() override { sweep(); }
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const DeadlineOracleStats& stats() const noexcept {
     return stats_;
   }
-
-  void publish(obs::Registry& registry,
-               std::string_view prefix = "recover.deadline") const;
 
  private:
   struct Armed {
@@ -100,11 +97,9 @@ class DeadlineOracle {
 
   void on_event(HostState& hs, const time::TimerEvent& event);
   void sweep();
-  void violation(const std::string& what);
 
   DeadlineOracleConfig cfg_;
   std::vector<std::unique_ptr<HostState>> hosts_;
-  std::vector<std::string> violations_;
   DeadlineOracleStats stats_;
 };
 

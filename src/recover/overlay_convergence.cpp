@@ -8,8 +8,6 @@
 namespace ldlp::recover {
 namespace {
 
-constexpr std::size_t kMaxViolations = 64;
-
 /// Reach every live node from `start` over the edge set `edges`
 /// (undirected adjacency by node id). Returns reached count.
 std::size_t reach(const std::vector<std::uint32_t>& ids,
@@ -37,27 +35,20 @@ std::size_t reach(const std::vector<std::uint32_t>& ids,
 
 }  // namespace
 
-void OverlayConvergenceOracle::violation(std::string what) {
-  ++stats_.violations;
-  if (violations_.size() < kMaxViolations)
-    violations_.push_back(std::move(what));
-}
-
 bool OverlayConvergenceOracle::ready() const {
   if (!armed_) return false;
   return std::all_of(clearances_.begin(), clearances_.end(),
                      [](const auto& fn) { return fn(); });
 }
 
-std::uint64_t OverlayConvergenceOracle::fingerprint(
-    std::span<const check::OverlayView> views) const {
+std::uint64_t OverlayConvergenceOracle::fingerprint() const {
   // Order-independent mix over (self, sorted active, sorted eager) of
   // every live node. splitmix64 per element keeps the hash cheap and
   // deterministic; the per-node hashes are summed so fleet iteration
   // order cannot matter.
   std::uint64_t sum = 0;
   std::vector<std::uint32_t> ids;
-  for (const check::OverlayView& v : views) {
+  for (const check::OverlayView& v : views_) {
     if (!v.live) continue;
     std::uint64_t h = 0x6f766c79ULL;  // "ovly"
     std::uint64_t s = v.self;
@@ -76,13 +67,12 @@ std::uint64_t OverlayConvergenceOracle::fingerprint(
   return sum;
 }
 
-void OverlayConvergenceOracle::on_pass(
-    std::span<const check::OverlayView> views) {
+void OverlayConvergenceOracle::on_pass() {
   ++stats_.passes;
   if (!ready()) return;
   ++ready_passes_;
 
-  const std::uint64_t fp = fingerprint(views);
+  const std::uint64_t fp = fingerprint();
   if (ready_passes_ > 1 && fp == last_fingerprint_) {
     ++stable_run_;
   } else {
@@ -102,8 +92,7 @@ void OverlayConvergenceOracle::on_pass(
   }
 }
 
-bool OverlayConvergenceOracle::finalize(
-    std::span<const check::OverlayView> views) {
+void OverlayConvergenceOracle::finalize() {
   if (!converged() && !flagged_) {
     flagged_ = true;
     violation("finalized before views stabilized (stable run " +
@@ -113,14 +102,14 @@ bool OverlayConvergenceOracle::finalize(
 
   // Index live nodes; sorted ids let reach() binary-search.
   std::vector<std::uint32_t> ids;
-  for (const check::OverlayView& v : views)
+  for (const check::OverlayView& v : views_)
     if (v.live) ids.push_back(v.self);
   std::sort(ids.begin(), ids.end());
-  if (ids.size() < 2) return ok();
+  if (ids.size() < 2) return;
 
   std::vector<std::vector<std::uint32_t>> active_adj(ids.size());
   std::vector<std::vector<std::uint32_t>> eager_adj(ids.size());
-  for (const check::OverlayView& v : views) {
+  for (const check::OverlayView& v : views_) {
     if (!v.live) continue;
     const auto it = std::lower_bound(ids.begin(), ids.end(), v.self);
     const auto i = static_cast<std::size_t>(it - ids.begin());
@@ -152,15 +141,6 @@ bool OverlayConvergenceOracle::finalize(
     violation("eager-push tree disconnected: reached " +
               std::to_string(eager_reached) + " of " +
               std::to_string(ids.size()) + " live nodes");
-  return ok();
-}
-
-void OverlayConvergenceOracle::publish(obs::Registry& registry,
-                                       std::string_view prefix) const {
-  const std::string p(prefix);
-  registry.counter(p + ".passes").set(stats_.passes);
-  registry.counter(p + ".passes_to_converge").set(stats_.passes_to_converge);
-  registry.counter(p + ".violations").set(stats_.violations);
 }
 
 }  // namespace ldlp::recover

@@ -7,9 +7,10 @@
 // input is the same per-pass OverlayView snapshot the ViewAuditor
 // consumes — plain data, so recover never depends on ldlp::overlay.
 //
-// Protocol mirrors ConvergenceOracle: arm() once churn is scheduled to
-// end, add_clearance(fabric.faults_cleared) so the stability budget only
-// counts once adversity has drained, on_pass(views) per scheduler tick.
+// Protocol mirrors ConvergenceOracle: the oracle is built over the views
+// vector the harness refreshes every pass, arm() once churn is scheduled
+// to end, add_clearance(fabric.faults_cleared) so the stability budget
+// only counts once adversity has drained, on_pass() per scheduler tick.
 // Stability is judged by fingerprinting every live node's sorted active
 // and eager views: `stable_passes` consecutive identical fingerprints
 // within `budget_passes` of readiness means the membership protocol
@@ -17,7 +18,7 @@
 // steady-state maintenance, not instability, so passive views are
 // excluded from the fingerprint).
 //
-// finalize(views) then judges the settled shape:
+// finalize() then judges the settled shape:
 //   * connectivity — the undirected graph over active links reaches every
 //     live node from the first (a partitioned-but-individually-stable
 //     overlay must be condemned: repair failed);
@@ -30,13 +31,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "check/judge.hpp"
 #include "check/overlay_audit.hpp"
-#include "obs/metrics.hpp"
 
 namespace ldlp::recover {
 
@@ -53,13 +53,20 @@ struct OverlayConvergenceConfig {
 struct OverlayConvergenceStats {
   std::uint64_t passes = 0;
   std::uint64_t passes_to_converge = 0;  ///< Budget passes used (0 = not yet).
-  std::uint64_t violations = 0;
 };
 
-class OverlayConvergenceOracle {
+class OverlayConvergenceOracle final : public check::Judge {
  public:
-  explicit OverlayConvergenceOracle(OverlayConvergenceConfig cfg = {})
-      : cfg_(cfg) {}
+  /// Judge `views` (refreshed by the caller before every pass; it must
+  /// outlive the oracle).
+  explicit OverlayConvergenceOracle(
+      const std::vector<check::OverlayView>& views,
+      OverlayConvergenceConfig cfg = {})
+      : views_(views), cfg_(cfg) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "overlay convergence";
+  }
 
   /// "Adversity drained" predicates; all must hold before the stability
   /// budget starts counting (fleet runs hang fabric.faults_cleared here).
@@ -70,8 +77,8 @@ class OverlayConvergenceOracle {
   /// No further churn or joins will be initiated; stability is owed.
   void arm() noexcept { armed_ = true; }
 
-  /// Call once per scheduler pass with the fleet's current views.
-  void on_pass(std::span<const check::OverlayView> views);
+  /// Call once per scheduler pass, after the views are refreshed.
+  void on_pass() override;
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }
   [[nodiscard]] bool ready() const;
@@ -82,26 +89,16 @@ class OverlayConvergenceOracle {
   [[nodiscard]] bool settled() const { return ready() && converged(); }
 
   /// End-of-run shape check on the settled views (see file comment).
-  /// Returns ok().
-  bool finalize(std::span<const check::OverlayView> views);
+  void finalize() override;
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const OverlayConvergenceStats& stats() const noexcept {
     return stats_;
   }
 
-  /// Mirror totals into an obs registry as <prefix>.* counters.
-  void publish(obs::Registry& registry,
-               std::string_view prefix = "recover.overlay") const;
-
  private:
-  [[nodiscard]] std::uint64_t fingerprint(
-      std::span<const check::OverlayView> views) const;
-  void violation(std::string what);
+  [[nodiscard]] std::uint64_t fingerprint() const;
 
+  const std::vector<check::OverlayView>& views_;
   OverlayConvergenceConfig cfg_;
   std::vector<std::function<bool()>> clearances_;
   bool armed_ = false;
@@ -109,7 +106,6 @@ class OverlayConvergenceOracle {
   std::uint64_t ready_passes_ = 0;
   std::uint64_t stable_run_ = 0;
   std::uint64_t last_fingerprint_ = 0;
-  std::vector<std::string> violations_;
   OverlayConvergenceStats stats_;
 };
 

@@ -40,24 +40,12 @@ void PartitionHealOracle::set_allow_truncation(bool allow) noexcept {
   for (auto& [dst, oracle] : by_dst_) oracle->set_allow_truncation(allow);
 }
 
-bool PartitionHealOracle::finalize() {
-  bool all_ok = true;
-  for (auto& [dst, oracle] : by_dst_) all_ok &= oracle->finalize();
-  return all_ok;
-}
-
-bool PartitionHealOracle::ok() const {
-  for (const auto& [dst, oracle] : by_dst_)
-    if (!oracle->ok()) return false;
-  return true;
-}
-
-std::vector<std::string> PartitionHealOracle::violations() const {
-  std::vector<std::string> all;
-  for (const auto& [dst, oracle] : by_dst_)
+void PartitionHealOracle::finalize() {
+  for (auto& [dst, oracle] : by_dst_) {
+    oracle->finalize();
     for (const std::string& v : oracle->violations())
-      all.push_back("rx@" + dst + ": " + v);
-  return all;
+      violation("rx@" + dst + ": " + v);
+  }
 }
 
 check::OracleStats PartitionHealOracle::stats() const {
@@ -69,7 +57,6 @@ check::OracleStats PartitionHealOracle::stats() const {
     sum.datagrams_sent += s.datagrams_sent;
     sum.datagrams_delivered += s.datagrams_delivered;
     sum.datagram_duplicates += s.datagram_duplicates;
-    sum.violations += s.violations;
   }
   return sum;
 }
@@ -82,7 +69,7 @@ void PartitionHealOracle::publish(obs::Registry& registry,
   registry.counter(p + ".stream_bytes_sent").set(s.stream_bytes_sent);
   registry.counter(p + ".stream_bytes_delivered")
       .set(s.stream_bytes_delivered);
-  registry.counter(p + ".violations").set(s.violations);
+  registry.counter(p + ".violations").set(violation_count());
 }
 
 }  // namespace ldlp::recover

@@ -11,7 +11,8 @@
 //
 // Mechanically it is a per-receiving-host sheaf of check::DeliveryOracle
 // taps (SocketIds are host-local, so each receiver needs its own tap),
-// with pair-granular flow bookkeeping on top and one aggregated verdict.
+// with pair-granular flow bookkeeping on top. finalize() finalizes every
+// per-host oracle and copies its findings into this judge's own log.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +23,20 @@
 #include <string_view>
 #include <vector>
 
+#include "check/judge.hpp"
 #include "check/oracle.hpp"
 #include "obs/metrics.hpp"
 #include "stack/socket_layer.hpp"
 
 namespace ldlp::recover {
 
-class PartitionHealOracle {
+class PartitionHealOracle final : public check::Judge {
  public:
   using PairId = std::uint32_t;
+
+  [[nodiscard]] std::string_view name() const override {
+    return "partition-heal oracle";
+  }
 
   /// Open a unidirectional src -> dst stream pair. `dst` keys the
   /// receive-side tap: install rx_tap(dst) on the destination host's
@@ -52,12 +58,10 @@ class PartitionHealOracle {
   void set_allow_truncation(bool allow) noexcept;
 
   /// End-of-run: every pair's stream must be complete (unless truncation
-  /// is allowed). Returns ok().
-  bool finalize();
+  /// is allowed). The per-host findings land here, each prefixed
+  /// "rx@<dst>: " with the receiving host.
+  void finalize() override;
 
-  [[nodiscard]] bool ok() const;
-  /// Aggregated violations, each prefixed with the receiving host.
-  [[nodiscard]] std::vector<std::string> violations() const;
   [[nodiscard]] check::OracleStats stats() const;
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return pairs_.size();

@@ -67,7 +67,7 @@ void ProgressWatchdog::on_pass() {
                     t.host->name().c_str(),
                     static_cast<unsigned long long>(occupancy(*t.host)),
                     static_cast<unsigned long long>(t.stalled));
-      violations_.emplace_back(line);
+      violation(line);
     }
   }
 }

@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "check/judge.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "stack/host.hpp"
@@ -39,9 +40,13 @@ struct WatchdogStats {
   std::uint64_t stalls_flagged = 0;
 };
 
-class ProgressWatchdog {
+class ProgressWatchdog final : public check::Judge {
  public:
   explicit ProgressWatchdog(WatchdogConfig cfg = {}) : cfg_(cfg) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "progress watchdog";
+  }
 
   /// Track a host. `injector` may be nullptr (treated as always cleared).
   void add_host(stack::Host& host, fault::FaultInjector* injector = nullptr);
@@ -54,12 +59,8 @@ class ProgressWatchdog {
   }
 
   /// Call once per scheduler pass.
-  void on_pass();
+  void on_pass() override;
 
-  [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
-  [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
-    return violations_;
-  }
   [[nodiscard]] const WatchdogStats& stats() const noexcept { return stats_; }
 
   /// Mirror totals into an obs registry as <prefix>.* counters.
@@ -84,7 +85,6 @@ class ProgressWatchdog {
   WatchdogConfig cfg_;
   std::vector<Tracked> hosts_;
   std::vector<std::function<bool()>> clearances_;
-  std::vector<std::string> violations_;
   WatchdogStats stats_;
 };
 

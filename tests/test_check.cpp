@@ -1,20 +1,28 @@
 // Tests for ldlp::check — conformance oracles, invariant auditors, the
-// ldlp.schedule.v1 round trip, and the delta-debugging shrinker.
+// one Judge interface they all share, the ldlp.schedule.v1 round trip,
+// and the delta-debugging shrinker.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "check/broadcast.hpp"
 #include "check/invariants.hpp"
 #include "check/oracle.hpp"
+#include "check/overlay_audit.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
+#include "check/timer_audit.hpp"
+#include "check_testing.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
+#include "recover/overlay_convergence.hpp"
 #include "stack/host.hpp"
+#include "time/timer_wheel.hpp"
 
 namespace ldlp {
 namespace {
@@ -37,8 +45,8 @@ TEST(OracleStream, ExactDeliveryPasses) {
   oracle.stream_sent(flow, sent);
   oracle.on_stream_append(7, {sent.data(), 2});
   oracle.on_stream_append(7, {sent.data() + 2, 3});
-  EXPECT_TRUE(oracle.finalize());
-  EXPECT_TRUE(oracle.ok());
+  oracle.finalize();
+  EXPECT_TRUE(clean(oracle));
   EXPECT_EQ(oracle.stats().stream_bytes_sent, 5u);
   EXPECT_EQ(oracle.stats().stream_bytes_delivered, 5u);
 }
@@ -72,7 +80,8 @@ TEST(OracleStream, ShortfallCaughtAtFinalize) {
   oracle.stream_sent(flow, bytes_of({1, 2, 3}));
   oracle.on_stream_append(7, bytes_of({1}));
   EXPECT_TRUE(oracle.ok());  // a prefix is fine mid-run...
-  EXPECT_FALSE(oracle.finalize());  // ...but not at the end.
+  oracle.finalize();
+  EXPECT_FALSE(oracle.ok());  // ...but not at the end.
 }
 
 TEST(OracleStream, UnboundSocketIgnored) {
@@ -82,7 +91,8 @@ TEST(OracleStream, UnboundSocketIgnored) {
   oracle.stream_sent(flow, bytes_of({1}));
   oracle.on_stream_append(99, bytes_of({42, 42}));  // unrelated socket
   oracle.on_stream_append(7, bytes_of({1}));
-  EXPECT_TRUE(oracle.finalize());
+  oracle.finalize();
+  EXPECT_TRUE(clean(oracle));
 }
 
 TEST(OracleStream, RecycledSocketSlotIsANewBinding) {
@@ -101,7 +111,8 @@ TEST(OracleStream, RecycledSocketSlotIsANewBinding) {
   oracle.stream_sent(flow, bytes_of({1, 2}));
   oracle.on_stream_append(second, bytes_of({9, 9, 9}));  // next tenant
   oracle.on_stream_append(first, bytes_of({1, 2}));
-  EXPECT_TRUE(oracle.finalize());
+  oracle.finalize();
+  EXPECT_TRUE(clean(oracle));
 }
 
 // ---- DeliveryOracle: datagram flows ------------------------------------
@@ -120,7 +131,8 @@ TEST(OracleDatagram, AtMostOncePasses) {
   oracle.datagram_sent(flow, bytes_of({3}));
   oracle.on_datagram(3, dgram(bytes_of({1, 2})));
   // The {3} datagram is lost: at-most-once still holds.
-  EXPECT_TRUE(oracle.finalize());
+  oracle.finalize();
+  EXPECT_TRUE(clean(oracle));
   EXPECT_EQ(oracle.stats().datagrams_sent, 2u);
   EXPECT_EQ(oracle.stats().datagrams_delivered, 1u);
 }
@@ -148,7 +160,8 @@ TEST(OracleDatagram, DuplicatesAllowedWhenWireDuplicates) {
   oracle.datagram_sent(flow, bytes_of({5}));
   oracle.on_datagram(3, dgram(bytes_of({5})));
   oracle.on_datagram(3, dgram(bytes_of({5})));
-  EXPECT_TRUE(oracle.finalize());
+  oracle.finalize();
+  EXPECT_TRUE(clean(oracle));
   EXPECT_EQ(oracle.stats().datagram_duplicates, 1u);
 }
 
@@ -249,11 +262,10 @@ TEST(HostAuditor, CleanTransferAuditsClean) {
       got.insert(got.end(), chunk, chunk + n);
     }
     EXPECT_EQ(got, payload);
-    EXPECT_TRUE(oracle.finalize()) << (oracle.violations().empty()
-                                           ? ""
-                                           : oracle.violations()[0]);
-    EXPECT_TRUE(aud_a.ok()) << aud_a.violations()[0];
-    EXPECT_TRUE(aud_b.ok()) << aud_b.violations()[0];
+    oracle.finalize();
+    EXPECT_TRUE(clean(oracle));
+    EXPECT_TRUE(clean(aud_a));
+    EXPECT_TRUE(clean(aud_b));
     EXPECT_GT(aud_a.stats().passes, 0u);
     EXPECT_GT(aud_b.stats().pcbs_checked, 0u);
     net.b->sockets().set_tap(nullptr);
@@ -314,10 +326,10 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
       aud_a.install();
       aud_b.install();
       ASSERT_TRUE(run_connection(net, /*abort=*/true));
-      aud_a.run();  // the aborting side's pass may have handled no frames
-      aud_b.run();
-      EXPECT_TRUE(aud_a.ok()) << aud_a.violations()[0];
-      EXPECT_TRUE(aud_b.ok()) << aud_b.violations()[0];
+      aud_a.on_pass();  // the aborting side's pass may have handled no frames
+      aud_b.on_pass();
+      EXPECT_TRUE(clean(aud_a));
+      EXPECT_TRUE(clean(aud_b));
       ASSERT_GT(net.a->tcp().tcp_stats().conns_reset, 0u);
       ASSERT_GT(net.b->tcp().tcp_stats().conns_reset, 0u);
 
@@ -326,8 +338,8 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
       stack::TcpLayerTestPeer::keep_stale_entry(net.a->tcp(), 0);
       stack::TcpLayerTestPeer::keep_stale_entry(net.b->tcp(), 1);
       net.tick(0.05);
-      aud_a.run();
-      aud_b.run();
+      aud_a.on_pass();
+      aud_b.on_pass();
       for (const check::HostAuditor* aud : {&aud_a, &aud_b}) {
         ASSERT_FALSE(aud->ok());
         EXPECT_NE(aud->violations()[0].find("(CLOSED), which owns no tuple"),
@@ -342,10 +354,122 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
       aud_a.install();
       aud_b.install();
       ASSERT_TRUE(run_connection(net, /*abort=*/false));
-      aud_a.run();
-      aud_b.run();
-      EXPECT_TRUE(aud_a.ok()) << aud_a.violations()[0];
-      EXPECT_TRUE(aud_b.ok()) << aud_b.violations()[0];
+      aud_a.on_pass();
+      aud_b.on_pass();
+      EXPECT_TRUE(clean(aud_a));
+      EXPECT_TRUE(clean(aud_b));
+    }
+  }
+}
+
+TEST(HostAuditor, KeepsTheFirst64FindingsAndCountsEveryOne) {
+  // A planted fault that persists is found again on every pass: the
+  // auditor counts every finding but keeps only the first 64.
+  Pair net(core::SchedMode::kConventional);
+  check::HostAuditor aud(*net.a);
+  ASSERT_TRUE(run_connection(net, /*abort=*/true));
+  aud.on_pass();
+  ASSERT_TRUE(clean(aud));
+  stack::TcpLayerTestPeer::keep_stale_entry(net.a->tcp(), 0);
+  for (int i = 0; i < 100; ++i) aud.on_pass();
+  EXPECT_EQ(aud.violation_count(), 100u);
+  EXPECT_EQ(aud.violations().size(), 64u);
+  EXPECT_NE(aud.violations().back().find("tcp demux"), std::string::npos);
+}
+
+// ---- Every judge through the one interface -----------------------------
+
+/// Three live overlay nodes, fully meshed: each has the other two in its
+/// active view and eager set.
+std::vector<check::OverlayView> meshed_views() {
+  std::vector<check::OverlayView> views(3);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    views[i].self = i + 1;
+    views[i].active_max = 4;
+    views[i].passive_max = 8;
+    for (std::uint32_t peer = 1; peer <= 3; ++peer)
+      if (peer != i + 1) views[i].active.push_back(peer);
+    views[i].eager = views[i].active;
+  }
+  return views;
+}
+
+TEST(Judge, EachJudgeFlagsItsBadInputAndPassesCleanInput) {
+  // Each row builds one judge over clean or planted-bad input; the rest
+  // runs through check::Judge& alone: five passes, then finalize().
+  std::vector<check::OverlayView> views;
+  std::unique_ptr<stack::Host> host;
+  const std::vector<std::uint8_t> payload = bytes_of({7, 7});
+  struct Row {
+    const char* judge;
+    std::vector<const char*> findings;  ///< Expected on bad input.
+    std::function<std::unique_ptr<check::Judge>(bool bad)> make;
+  };
+  const Row rows[] = {
+      {"ViewAuditor",
+       {"self in active view"},
+       [&](bool bad) {
+         views = meshed_views();
+         if (bad) views[0].active.push_back(views[0].self);
+         return std::make_unique<check::ViewAuditor>(views,
+                                                     [] { return 1.0; });
+       }},
+      {"BroadcastDeliveryOracle",
+       {"phantom message (9,9)", "node 2 never delivered (1,1)"},
+       [&](bool bad) {
+         auto oracle = std::make_unique<check::BroadcastDeliveryOracle>(
+             std::vector<std::uint32_t>{1, 2});
+         oracle->broadcast(1, 1, payload);
+         oracle->delivered(1, 1, 1, payload);
+         if (bad)
+           oracle->delivered(2, 9, 9, payload);
+         else
+           oracle->delivered(2, 1, 1, payload);
+         return oracle;
+       }},
+      {"OverlayConvergenceOracle",
+       {"eager-push tree disconnected"},
+       [&](bool bad) {
+         views = meshed_views();
+         if (bad) {  // node 3 keeps its active links but no tree link
+           views[0].eager = {2};
+           views[1].eager = {1};
+           views[2].eager.clear();
+         }
+         auto oracle = std::make_unique<recover::OverlayConvergenceOracle>(
+             views, recover::OverlayConvergenceConfig{/*budget_passes=*/100,
+                                                      /*stable_passes=*/2});
+         oracle->arm();
+         return oracle;
+       }},
+      {"TimerAuditor",
+       {"1 armed timer(s) leaked past teardown"},
+       [&](bool bad) {
+         host = std::make_unique<stack::Host>(stack::HostConfig{});
+         if (bad)  // armed straight on the wheel, never cancelled
+           (void)host->wheel().arm(5.0, time::TimerClass::kCadence, [] {});
+         return std::make_unique<check::TimerAuditor>(*host);
+       }},
+  };
+  for (const Row& row : rows) {
+    for (const bool bad : {false, true}) {
+      SCOPED_TRACE(std::string(row.judge) + (bad ? " on bad" : " on clean") +
+                   " input");
+      const std::unique_ptr<check::Judge> made = row.make(bad);
+      check::Judge& judge = *made;
+      for (int pass = 0; pass < 5; ++pass) judge.on_pass();
+      judge.finalize();
+      if (!bad) {
+        EXPECT_TRUE(clean(judge));
+        continue;
+      }
+      EXPECT_FALSE(judge.ok());
+      for (const char* finding : row.findings) {
+        bool seen = false;
+        for (const std::string& v : judge.violations())
+          seen |= v.find(finding) != std::string::npos;
+        EXPECT_TRUE(seen) << "no finding names '" << finding << "'";
+      }
     }
   }
 }
@@ -399,7 +523,7 @@ TEST(HostAuditor, PersistProbeBreaksZeroWindowDeadlock) {
   EXPECT_EQ(got.size(), payload.size());
   EXPECT_EQ(got, payload);
   EXPECT_GT(net.a->tcp().pcb_stats(conn).persist_probes, 0u);
-  EXPECT_TRUE(aud_a.ok()) << aud_a.violations()[0];
+  EXPECT_TRUE(clean(aud_a));
 }
 
 // ---- Schedule JSON round trip ------------------------------------------

@@ -11,6 +11,7 @@
 
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
+#include "check_testing.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/fabric.hpp"
 #include "net/fleet_plan.hpp"
@@ -165,10 +166,8 @@ TEST(Fabric, FatTreeMultiSpineIsLoopAndDuplicateFree) {
       });
   ASSERT_TRUE(s.run(0.01, 400));
   EXPECT_EQ(s.got, s.payload);
-  (void)heal.finalize();
-  EXPECT_TRUE(heal.ok()) << (heal.violations().empty()
-                                 ? std::string("no detail")
-                                 : heal.violations()[0]);
+  heal.finalize();
+  EXPECT_TRUE(clean(heal));
   // The broadcast ARP resolution must not have stormed: with valley-free
   // flooding every broadcast crosses each switch at most once.
   EXPECT_EQ(fabric.conservation_residual(), 0);
@@ -246,12 +245,8 @@ TEST(Fabric, SwitchFaultPartitionsAndHeals) {
   conv.arm();
   for (int i = 0; i < 400 && !conv.settled(); ++i) fabric.run_for(0.05);
   EXPECT_TRUE(conv.settled());
-  EXPECT_TRUE(conv.ok()) << (conv.violations().empty()
-                                 ? std::string("no detail")
-                                 : conv.violations()[0]);
-  EXPECT_TRUE(dog.ok()) << (dog.violations().empty()
-                                ? std::string("no detail")
-                                : dog.violations()[0]);
+  EXPECT_TRUE(clean(conv));
+  EXPECT_TRUE(clean(dog));
 }
 
 TEST(Fabric, AsymmetricPartitionCutsOneDirection) {

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "check_testing.hpp"
 #include "fault/injector.hpp"
 #include "recover/convergence.hpp"
 #include "recover/watchdog.hpp"
@@ -261,7 +262,7 @@ TEST(CloseRecovery, SimultaneousCloseConverges) {
     conv.on_pass();
   }
   EXPECT_TRUE(conv.settled());
-  EXPECT_TRUE(conv.ok()) << conv.violations()[0];
+  EXPECT_TRUE(clean(conv));
 
   // After 2MSL both sides must be fully Closed, not parked in TimeWait.
   for (int i = 0; i < 30; ++i) net.tick(0.1);
@@ -367,7 +368,7 @@ TEST(PersistGuard, PersistTimerEnabledConvergesCleanly) {
 
   EXPECT_EQ(got, 24000u);
   EXPECT_TRUE(conv.settled());
-  EXPECT_TRUE(conv.ok()) << conv.violations()[0];
+  EXPECT_TRUE(clean(conv));
   EXPECT_GT(net.client->tcp().pcb_stats(net.conn).persist_probes, 0u);
 }
 
@@ -407,7 +408,7 @@ TEST(Watchdog, QuietOnHealthyTransfer) {
     net.read_server(got);
   }
   EXPECT_EQ(got.size(), payload.size());
-  EXPECT_TRUE(dog.ok()) << dog.violations()[0];
+  EXPECT_TRUE(clean(dog));
   EXPECT_EQ(dog.stats().stalls_flagged, 0u);
 }
 
@@ -454,8 +455,8 @@ TEST(Heal, PartitionHealsAndTransferCompletes) {
 
   EXPECT_EQ(got, payload);
   EXPECT_TRUE(conv.settled());
-  EXPECT_TRUE(conv.ok()) << conv.violations()[0];
-  EXPECT_TRUE(dog.ok()) << dog.violations()[0];
+  EXPECT_TRUE(clean(conv));
+  EXPECT_TRUE(clean(dog));
   EXPECT_GE(inj.stats().partition_dropped, 1u);
   net.client->attach_fault(nullptr);
 }
@@ -492,7 +493,7 @@ TEST(Heal, HostRestartConvergesToCleanReset) {
   }
 
   EXPECT_TRUE(conv.settled());
-  EXPECT_TRUE(conv.ok()) << conv.violations()[0];
+  EXPECT_TRUE(clean(conv));
   EXPECT_EQ(inj.stats().host_restarts, 1u);
   EXPECT_EQ(net.client->tcp().state(net.conn), TcpState::kClosed);
   net.server->attach_fault(nullptr);

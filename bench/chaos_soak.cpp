@@ -69,7 +69,7 @@
 #include "recover/partition_heal.hpp"
 #include "recover/watchdog.hpp"
 #include "rpc/fanout.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 
 namespace {
 
@@ -147,67 +147,56 @@ struct Supervision {
 
 // ---------------------------------------------------------------------------
 
-struct Net : Supervision {
-  std::unique_ptr<stack::Host> a;
-  std::unique_ptr<stack::Host> b;
+struct Net : Supervision, stack::HostPair {
   std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
 
-  explicit Net(const check::Schedule& schedule) : Supervision({}, {}) {
-    stack::HostConfig ca;
-    ca.name = "a";
-    ca.mac = {2, 0, 0, 0, 0, 1};
-    ca.ip = ip_from_parts(10, 0, 0, 1);
+  static stack::HostConfig config(const char* name) {
+    stack::HostConfig c;
+    c.name = name;
     // A small pool keeps allocation-failure paths hot: pool-exhaustion
     // episodes leave the stack genuinely starved rather than nibbling at
     // an 8k-mbuf cushion, so recovery code runs on many seeds.
-    ca.pool_mbufs = 384;
-    ca.pool_clusters = 96;
+    c.pool_mbufs = 384;
+    c.pool_clusters = 96;
     // LDLP scheduling: the whole RX backlog is injected (holding mbufs)
     // before any layer runs, so deferred delivery races — stale advertised
     // windows, allocation failure mid-batch — actually occur. The
     // conventional path gets its chaos coverage from tests/test_chaos.cpp.
-    ca.mode = core::SchedMode::kLdlp;
+    c.mode = core::SchedMode::kLdlp;
     // Keepalive on: a peer that vanished (host restart, permanent loss)
     // is probed and the connection torn down instead of idling forever.
     // The idle clock resets on every received segment, so an active
     // transfer never sees a probe.
-    ca.tcp.keepalive_idle_sec = 5.0;
-    ca.tcp.keepalive_intvl_sec = 1.0;
-    ca.tcp.keepalive_probes = 4;
-    stack::HostConfig cb = ca;
-    cb.name = "b";
-    cb.mac = {2, 0, 0, 0, 0, 2};
-    cb.ip = ip_from_parts(10, 0, 0, 2);
-    a = std::make_unique<stack::Host>(ca);
-    b = std::make_unique<stack::Host>(cb);
-    stack::NetDevice::connect(a->device(), b->device());
+    c.tcp.keepalive_idle_sec = 5.0;
+    c.tcp.keepalive_intvl_sec = 1.0;
+    c.tcp.keepalive_probes = 4;
+    return c;
+  }
+
+  explicit Net(const check::Schedule& schedule)
+      : Supervision({}, {}), HostPair(config("a"), config("b")) {
     fault::FaultInjector* inj_a = nullptr;
     fault::FaultInjector* inj_b = nullptr;
     for (const check::InjectorSpec& spec : schedule.injectors) {
       stack::Host* host =
-          spec.host == "a" ? a.get() : spec.host == "b" ? b.get() : nullptr;
+          spec.host == "a" ? &a : spec.host == "b" ? &b : nullptr;
       if (host == nullptr) continue;  // shrunk/foreign spec: ignore
       injectors.push_back(
           std::make_unique<fault::FaultInjector>(spec.plan, spec.rng_seed));
       host->attach_fault(injectors.back().get());
-      (host == a.get() ? inj_a : inj_b) = injectors.back().get();
+      (host == &a ? inj_a : inj_b) = injectors.back().get();
     }
-    supervise(*a, inj_a);
-    supervise(*b, inj_b);
+    supervise(a, inj_a);
+    supervise(b, inj_b);
   }
 
   ~Net() {
-    a->attach_fault(nullptr);
-    b->attach_fault(nullptr);
+    a.attach_fault(nullptr);
+    b.attach_fault(nullptr);
   }
 
   void tick(double dt) {
-    a->advance(dt);
-    b->advance(dt);
-    a->pump();
-    b->pump();
-    a->pump();
-    b->pump();
+    HostPair::tick(dt, 2);
     on_pass();
   }
 
@@ -226,10 +215,10 @@ struct Net : Supervision {
       r.fail("seed wall-clock budget exceeded (--seed_timeout_ms)");
     else if (!faults_cleared())
       r.fail("faults never cleared (delayed frames or held mbufs remain)");
-    a->attach_fault(nullptr);
-    b->attach_fault(nullptr);
-    check::check_teardown(*a, r);
-    check::check_teardown(*b, r);
+    a.attach_fault(nullptr);
+    b.attach_fault(nullptr);
+    check::check_teardown(a, r);
+    check::check_teardown(b, r);
   }
 };
 
@@ -246,39 +235,39 @@ SoakResult run_tcp(const check::Schedule& schedule,
   check::DeliveryOracle oracle;
   oracle.set_allow_truncation(restarts);
   const auto flow = oracle.open_stream("a->b");
-  net.b->sockets().set_tap(&oracle);
+  net.b.sockets().set_tap(&oracle);
 
   stack::PcbId accepted = stack::kNoPcb;
   // Cached at accept time: the socket slot stays addressable across a
   // crash, while socket_of(accepted) on a wiped pcb would not.
   stack::SocketId accepted_socket = stack::kNoSocket;
-  net.b->tcp().set_accept_hook([&](stack::PcbId id) {
+  net.b.tcp().set_accept_hook([&](stack::PcbId id) {
     if (accepted == stack::kNoPcb) {
       accepted = id;
-      accepted_socket = net.b->tcp().socket_of(id);
+      accepted_socket = net.b.tcp().socket_of(id);
       oracle.bind_stream_rx(flow, accepted_socket);
     }
   });
-  stack::PcbId listener = net.b->tcp().listen(80);
+  stack::PcbId listener = net.b.tcp().listen(80);
   const stack::PcbId conn =
-      net.a->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
-  net.a->tcp().set_send_tap(
+      net.a.tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+  net.a.tcp().set_send_tap(
       [&](stack::PcbId id, std::span<const std::uint8_t> bytes) {
         if (id == conn) oracle.stream_sent(flow, bytes);
       });
   const auto ensure_listener = [&] {
     if (!restarts) return;
-    if (net.b->tcp().state(listener) != stack::TcpState::kListen)
-      listener = net.b->tcp().listen(80);
+    if (net.b.tcp().state(listener) != stack::TcpState::kListen)
+      listener = net.b.tcp().listen(80);
   };
   for (int i = 0; i < 1600 && !timed_out() &&
-                  net.a->tcp().state(conn) != stack::TcpState::kEstablished;
+                  net.a.tcp().state(conn) != stack::TcpState::kEstablished;
        ++i) {
     ensure_listener();
     net.tick(0.05);
   }
   const bool established =
-      net.a->tcp().state(conn) == stack::TcpState::kEstablished;
+      net.a.tcp().state(conn) == stack::TcpState::kEstablished;
   if (!established && !restarts) {
     r.fail(timed_out() ? "seed wall-clock budget exceeded (--seed_timeout_ms)"
                        : "TCP never established");
@@ -296,17 +285,17 @@ SoakResult run_tcp(const check::Schedule& schedule,
                   got.size() < payload.size();
        ++i) {
     ensure_listener();
-    if (net.a->tcp().state(conn) == stack::TcpState::kClosed)
+    if (net.a.tcp().state(conn) == stack::TcpState::kClosed)
       conn_died = true;
     if (!conn_died && queued < payload.size()) {
       const std::span<const std::uint8_t> rest(payload.data() + queued,
                                                payload.size() - queued);
-      if (net.a->tcp().send(conn, rest)) queued = payload.size();
+      if (net.a.tcp().send(conn, rest)) queued = payload.size();
     }
     net.tick(0.05);
     if (accepted_socket == stack::kNoSocket) continue;
     std::vector<std::uint8_t> chunk(read_chunk);
-    const std::size_t n = net.b->sockets().read(accepted_socket, chunk);
+    const std::size_t n = net.b.sockets().read(accepted_socket, chunk);
     got.insert(got.end(), chunk.begin(),
                chunk.begin() + static_cast<std::ptrdiff_t>(n));
     // Once the connection is dead and the wire is quiet nothing more can
@@ -332,26 +321,26 @@ SoakResult run_tcp(const check::Schedule& schedule,
                std::to_string(payload.size()) + " bytes, first mismatch at " +
                std::to_string(diff) +
                "; a: state=" + std::to_string(static_cast<int>(
-                                   net.a->tcp().state(conn))) +
+                                   net.a.tcp().state(conn))) +
                " rtx=" +
-               std::to_string(net.a->tcp().pcb_stats(conn).retransmits) +
+               std::to_string(net.a.tcp().pcb_stats(conn).retransmits) +
                " bad_cksum=" +
-               std::to_string(net.a->tcp().tcp_stats().bad_checksum) +
+               std::to_string(net.a.tcp().tcp_stats().bad_checksum) +
                "; b: bad_cksum=" +
-               std::to_string(net.b->tcp().tcp_stats().bad_checksum) +
+               std::to_string(net.b.tcp().tcp_stats().bad_checksum) +
                " dev_rx_drops=" +
-               std::to_string(net.b->device().stats().rx_drops) +
+               std::to_string(net.b.device().stats().rx_drops) +
                " shed=" +
-               std::to_string(net.b->graph().graph_stats().shed_entry) + "/" +
-               std::to_string(net.b->graph().graph_stats().shed_depth);
-    for (std::size_t li = 0; li < net.b->graph().layer_count(); ++li) {
+               std::to_string(net.b.graph().graph_stats().shed_entry) + "/" +
+               std::to_string(net.b.graph().graph_stats().shed_depth);
+    for (std::size_t li = 0; li < net.b.graph().layer_count(); ++li) {
       const core::Layer& l =
-          net.b->graph().layer(static_cast<core::LayerId>(li));
+          net.b.graph().layer(static_cast<core::LayerId>(li));
       r.detail += " " + l.name() + ":d" + std::to_string(l.stats().drops);
     }
   }
-  net.a->tcp().close(conn);
-  if (accepted != stack::kNoPcb) net.b->tcp().close(accepted);
+  net.a.tcp().close(conn);
+  if (accepted != stack::kNoPcb) net.b.tcp().close(accepted);
   // The application is done: from here on the stack owes convergence —
   // every pcb must reach a terminal or quiescent state within the
   // oracle's pass budget once the faults have cleared.
@@ -363,21 +352,21 @@ SoakResult run_tcp(const check::Schedule& schedule,
   oracle.finalize();
   r.fold(oracle, "oracle");
   net.fold(r);
-  net.b->sockets().set_tap(nullptr);
+  net.b.sockets().set_tap(nullptr);
   return r;
 }
 
 SoakResult run_dns(const check::Schedule& schedule) {
   SoakResult r;
   Net net(schedule);
-  dns::DnsServer server(*net.b);
+  dns::DnsServer server(net.b);
   constexpr int kNames = 8;
   for (int i = 0; i < kNames; ++i)
     server.add_a("h" + std::to_string(i) + ".soak",
                  ip_from_parts(10, 7, 0, static_cast<std::uint8_t>(i)));
   dns::DnsResolver::Config cfg;
   cfg.server_ip = ip_from_parts(10, 0, 0, 2);
-  dns::DnsResolver resolver(*net.a, cfg);
+  dns::DnsResolver resolver(net.a, cfg);
 
   // Datagram oracles, one per direction: queries a->b, responses b->a.
   // The wire may legally duplicate under duplicate (or reorder: a frame
@@ -393,16 +382,16 @@ SoakResult run_dns(const check::Schedule& schedule) {
   const auto responses = to_resolver.open_datagram("dns.response");
   to_server.bind_datagram_rx(queries, server.socket());
   to_resolver.bind_datagram_rx(responses, resolver.socket());
-  net.b->sockets().set_tap(&to_server);
-  net.a->sockets().set_tap(&to_resolver);
-  net.a->udp().set_send_tap([&](std::uint16_t, std::uint32_t,
-                                std::uint16_t dst_port,
-                                std::span<const std::uint8_t> payload) {
+  net.b.sockets().set_tap(&to_server);
+  net.a.sockets().set_tap(&to_resolver);
+  net.a.udp().set_send_tap([&](std::uint16_t, std::uint32_t,
+                               std::uint16_t dst_port,
+                               std::span<const std::uint8_t> payload) {
     if (dst_port == dns::kDnsPort) to_server.datagram_sent(queries, payload);
   });
-  net.b->udp().set_send_tap([&](std::uint16_t src_port, std::uint32_t,
-                                std::uint16_t,
-                                std::span<const std::uint8_t> payload) {
+  net.b.udp().set_send_tap([&](std::uint16_t src_port, std::uint32_t,
+                               std::uint16_t,
+                               std::span<const std::uint8_t> payload) {
     if (src_port == dns::kDnsPort)
       to_resolver.datagram_sent(responses, payload);
   });
@@ -423,8 +412,8 @@ SoakResult run_dns(const check::Schedule& schedule) {
   for (int iter = 0; iter < 500 && !timed_out(); ++iter) {
     net.tick(0.25);
     server.poll();
-    net.b->pump();
-    net.a->pump();
+    net.b.pump();
+    net.a.pump();
     resolver.poll();
     bool done = true;
     for (int i = 0; i < kNames; ++i) {
@@ -468,8 +457,8 @@ SoakResult run_dns(const check::Schedule& schedule) {
   r.fold(to_server, "oracle");
   net.fold(r);
   r.fold(to_resolver, "oracle");
-  net.a->sockets().set_tap(nullptr);
-  net.b->sockets().set_tap(nullptr);
+  net.a.sockets().set_tap(nullptr);
+  net.b.sockets().set_tap(nullptr);
   return r;
 }
 

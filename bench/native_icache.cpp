@@ -21,7 +21,7 @@
 #endif
 
 #include "pipe/pipeline.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 
 using namespace ldlp;
 
@@ -65,26 +65,14 @@ class PerfCounter {
 /// `burst`, counting L1i misses during the receive-side processing only.
 std::uint64_t measure(core::SchedMode mode, int frames, int burst,
                       PerfCounter& counter) {
-  stack::HostConfig ca;
-  ca.name = "tx";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb = ca;
-  cb.name = "rx";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  cb.mode = mode;
-  stack::Host tx(ca);
-  stack::Host rx(cb);
-  stack::NetDevice::connect(tx.device(), rx.device());
+  stack::HostPair net({.name = "tx"}, {.name = "rx", .mode = mode});
+  stack::Host& tx = net.a;
+  stack::Host& rx = net.b;
   (void)rx.tcp().listen(80);
   stack::PcbId accepted = stack::kNoPcb;
   rx.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
-  const stack::PcbId conn = tx.tcp().connect(cb.ip, 80);
-  for (int i = 0; i < 8; ++i) {
-    tx.pump();
-    rx.pump();
-  }
+  const stack::PcbId conn = tx.tcp().connect(rx.ip().ip_addr(), 80);
+  net.settle(8);
   if (accepted == stack::kNoPcb) return 0;
 
   const std::vector<std::uint8_t> payload(400, 0x7a);
@@ -110,18 +98,12 @@ std::uint64_t measure(core::SchedMode mode, int frames, int burst,
 /// simulated i-miss/msg column.
 std::uint64_t measure_staged(pipe::RxMode mode, int frames, int burst,
                              PerfCounter& counter) {
-  stack::HostConfig ca;
-  ca.name = "tx";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb = ca;
-  cb.name = "rx";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  cb.mode = core::SchedMode::kLdlp;  // StagedRx schedules the graph itself.
-  stack::Host tx(ca);
-  stack::Host rx(cb);
-  stack::NetDevice::connect(tx.device(), rx.device());
+  // StagedRx schedules the receiver's graph itself.
+  stack::HostPair net({.name = "tx"},
+                      {.name = "rx", .mode = core::SchedMode::kLdlp});
+  stack::Host& tx = net.a;
+  stack::Host& rx = net.b;
+  const std::uint32_t rx_ip = rx.ip().ip_addr();
 
   pipe::PipelineConfig pc;
   pc.mode = mode;
@@ -133,7 +115,7 @@ std::uint64_t measure_staged(pipe::RxMode mode, int frames, int burst,
       rx.sockets().create(stack::SocketKind::kDatagram);
   if (!rx.udp().bind(9000, sock)) return 0;
   const std::vector<std::uint8_t> payload(256, 0x7a);
-  tx.udp().send(9001, cb.ip, 9000, payload);  // parks behind ARP
+  tx.udp().send(9001, rx_ip, 9000, payload);  // parks behind ARP
   for (int i = 0; i < 6; ++i) {
     tx.pump();
     (void)staged.pump();
@@ -144,7 +126,7 @@ std::uint64_t measure_staged(pipe::RxMode mode, int frames, int burst,
   std::uint64_t total = 0;
   for (int sent = 0; sent < frames; sent += burst) {
     for (int i = 0; i < burst; ++i)
-      tx.udp().send(9001, cb.ip, 9000, payload);
+      tx.udp().send(9001, rx_ip, 9000, payload);
     tx.pump();
     counter.start();
     (void)staged.pump();  // the measured region: the staged rx path only

@@ -15,7 +15,7 @@
 #include "buf/packet_queue.hpp"
 #include "pipe/pipeline.hpp"
 #include "signal/node.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "time/timer_wheel.hpp"
 #include "wire/checksum.hpp"
 #include "wire/ipv4.hpp"
@@ -141,27 +141,15 @@ BENCHMARK(BM_PacketQueueIntrusive);
 /// (device pull -> eth -> ip -> tcp fast path -> socket), per scheduling
 /// mode.
 void tcp_segment_walk(benchmark::State& state, core::SchedMode mode) {
-  stack::HostConfig ca;
-  ca.name = "tx";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb;
-  cb.name = "rx";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  cb.mode = mode;
-  stack::Host tx(ca);
-  stack::Host rx(cb);
-  stack::NetDevice::connect(tx.device(), rx.device());
+  stack::HostPair net({.name = "tx"}, {.name = "rx", .mode = mode});
+  stack::Host& tx = net.a;
+  stack::Host& rx = net.b;
 
   (void)rx.tcp().listen(80);
   stack::PcbId accepted = stack::kNoPcb;
   rx.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
-  const stack::PcbId conn = tx.tcp().connect(cb.ip, 80);
-  for (int i = 0; i < 8; ++i) {
-    tx.pump();
-    rx.pump();
-  }
+  const stack::PcbId conn = tx.tcp().connect(rx.ip().ip_addr(), 80);
+  net.settle(8);
   if (tx.tcp().state(conn) != stack::TcpState::kEstablished) {
     state.SkipWithError("handshake failed");
     return;
@@ -196,18 +184,12 @@ BENCHMARK(BM_TcpSegmentLdlp);
 /// PipelineConfig::prefetch, so each mode reports the next-frame-header
 /// prefetch hint's effect on the native stage loop.
 void staged_rx_burst(benchmark::State& state, pipe::RxMode mode) {
-  stack::HostConfig ca;
-  ca.name = "tx";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb;
-  cb.name = "rx";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  cb.mode = core::SchedMode::kLdlp;  // StagedRx schedules the graph itself.
-  stack::Host tx(ca);
-  stack::Host rx(cb);
-  stack::NetDevice::connect(tx.device(), rx.device());
+  // StagedRx schedules the receiver's graph itself.
+  stack::HostPair net({.name = "tx"},
+                      {.name = "rx", .mode = core::SchedMode::kLdlp});
+  stack::Host& tx = net.a;
+  stack::Host& rx = net.b;
+  const std::uint32_t rx_ip = rx.ip().ip_addr();
 
   pipe::PipelineConfig pc;
   pc.mode = mode;
@@ -223,7 +205,7 @@ void staged_rx_burst(benchmark::State& state, pipe::RxMode mode) {
   }
   std::vector<std::uint8_t> payload(256, 0x7e);
   // First send parks behind ARP; settle the request/reply exchange.
-  tx.udp().send(9001, cb.ip, 9000, payload);
+  tx.udp().send(9001, rx_ip, 9000, payload);
   for (int i = 0; i < 6; ++i) {
     tx.pump();
     (void)staged.pump();
@@ -233,7 +215,7 @@ void staged_rx_burst(benchmark::State& state, pipe::RxMode mode) {
 
   for (auto _ : state) {
     for (int i = 0; i < kQueueBurst; ++i)
-      tx.udp().send(9001, cb.ip, 9000, payload);
+      tx.udp().send(9001, rx_ip, 9000, payload);
     tx.pump();
     benchmark::DoNotOptimize(staged.pump());
     while (rx.sockets().read_datagram(sock).has_value()) {
@@ -263,20 +245,12 @@ BENCHMARK(BM_StagedRxHybrid)->Arg(0)->Arg(1);
 /// cycle is six small segments (SYN, SYN|ACK, ACK, FIN|ACK, FIN|ACK, ACK)
 /// plus timer work — all control, no payload.
 void BM_TcpConnectClose(benchmark::State& state) {
-  stack::HostConfig ca;
-  ca.name = "dialer";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb;
-  cb.name = "acceptor";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
   // Short TIME_WAIT so PCB slots recycle inside the benchmark loop.
-  ca.tcp.time_wait_sec = 0.001;
-  cb.tcp.time_wait_sec = 0.001;
-  stack::Host dialer(ca);
-  stack::Host acceptor(cb);
-  stack::NetDevice::connect(dialer.device(), acceptor.device());
+  stack::HostPair net({.name = "dialer", .tcp = {.time_wait_sec = 0.001}},
+                      {.name = "acceptor", .tcp = {.time_wait_sec = 0.001}});
+  stack::Host& dialer = net.a;
+  stack::Host& acceptor = net.b;
+  const std::uint32_t acceptor_ip = acceptor.ip().ip_addr();
   (void)acceptor.tcp().listen(9);
   stack::PcbId accepted = stack::kNoPcb;
   acceptor.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
@@ -289,7 +263,7 @@ void BM_TcpConnectClose(benchmark::State& state) {
   };
 
   for (auto _ : state) {
-    const stack::PcbId conn = dialer.tcp().connect(cb.ip, 9);
+    const stack::PcbId conn = dialer.tcp().connect(acceptor_ip, 9);
     settle();
     if (dialer.tcp().state(conn) != stack::TcpState::kEstablished) {
       state.SkipWithError("handshake failed");
@@ -313,25 +287,14 @@ BENCHMARK(BM_TcpConnectClose);
 /// the single-entry PCB cache and the demux proper finds it; N = 1 is the
 /// cache-hit floor. The N-dependence is the demux's miss-path cost.
 void BM_TcpDemux(benchmark::State& state) {
-  stack::HostConfig ca;
-  ca.name = "tx";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb;
-  cb.name = "rx";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  stack::Host tx(ca);
-  stack::Host rx(cb);
-  stack::NetDevice::connect(tx.device(), rx.device());
+  stack::HostPair net({.name = "tx"}, {.name = "rx"});
+  stack::Host& tx = net.a;
+  stack::Host& rx = net.b;
   (void)rx.tcp().listen(80);
   std::vector<stack::PcbId> conns;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    conns.push_back(tx.tcp().connect(cb.ip, 80));
-    for (int r = 0; r < 4; ++r) {
-      tx.pump();
-      rx.pump();
-    }
+    conns.push_back(tx.tcp().connect(rx.ip().ip_addr(), 80));
+    net.settle(4);
     if (tx.tcp().state(conns.back()) != stack::TcpState::kEstablished) {
       state.SkipWithError("handshake failed");
       return;

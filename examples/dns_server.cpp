@@ -11,26 +11,20 @@
 #include <vector>
 
 #include "dns/resolver.hpp"
+#include "stack/host_pair.hpp"
 
 using namespace ldlp;
 
 int main() {
-  stack::HostConfig stub_cfg;
-  stub_cfg.name = "stub";
-  stub_cfg.mac = {2, 0, 0, 0, 0, 1};
-  stub_cfg.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig ns_cfg;
-  ns_cfg.name = "ns";
-  ns_cfg.mac = {2, 0, 0, 0, 0, 2};
-  ns_cfg.ip = wire::ip_from_parts(10, 0, 0, 2);
-  ns_cfg.mode = core::SchedMode::kLdlp;  // the busy side batches
-
-  stack::Host stub(stub_cfg);
-  stack::Host ns(ns_cfg);
-  stack::NetDevice::connect(stub.device(), ns.device());
+  stack::HostPair net({.name = "stub"},
+                      // the busy side batches
+                      {.name = "ns", .mode = core::SchedMode::kLdlp});
+  stack::Host& stub = net.a;
+  stack::Host& ns = net.b;
+  const std::uint32_t ns_ip = ns.ip().ip_addr();
 
   dns::DnsServer server(ns);
-  server.add_a("ns.corp.example", ns_cfg.ip);
+  server.add_a("ns.corp.example", ns_ip);
   server.add_cname("www.corp.example", "web1.corp.example");
   server.add_a("web1.corp.example", wire::ip_from_parts(10, 0, 5, 1));
   for (int i = 0; i < 24; ++i) {
@@ -39,7 +33,7 @@ int main() {
   }
 
   dns::DnsResolver::Config rcfg;
-  rcfg.server_ip = ns_cfg.ip;
+  rcfg.server_ip = ns_ip;
   dns::DnsResolver resolver(stub, rcfg);
 
   auto settle = [&] {

@@ -15,27 +15,19 @@
 #include <vector>
 
 #include "rpc/nfs_lite.hpp"
+#include "stack/host_pair.hpp"
 
 using namespace ldlp;
 
 int main() {
-  stack::HostConfig client_cfg;
-  client_cfg.name = "client";
-  client_cfg.mac = {2, 0, 0, 0, 0, 1};
-  client_cfg.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig server_cfg;
-  server_cfg.name = "nfsd";
-  server_cfg.mac = {2, 0, 0, 0, 0, 2};
-  server_cfg.ip = wire::ip_from_parts(10, 0, 0, 2);
-  server_cfg.mode = core::SchedMode::kLdlp;
-
-  stack::Host client_host(client_cfg);
-  stack::Host server_host(server_cfg);
-  stack::NetDevice::connect(client_host.device(), server_host.device());
+  stack::HostPair net({.name = "client"},
+                      {.name = "nfsd", .mode = core::SchedMode::kLdlp});
+  stack::Host& client_host = net.a;
+  stack::Host& server_host = net.b;
 
   rpc::NfsServer server(server_host);
   rpc::NfsClient::Config ccfg;
-  ccfg.server_ip = server_cfg.ip;
+  ccfg.server_ip = server_host.ip().ip_addr();
   rpc::NfsClient client(client_host, ccfg, [&] {
     client_host.pump();
     server_host.pump();

@@ -11,41 +11,29 @@
 #include <cstdio>
 #include <vector>
 
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 
 using namespace ldlp;
 
 int main() {
   // --- 1. Two hosts on a wire -------------------------------------------
-  stack::HostConfig client_cfg;
-  client_cfg.name = "client";
-  client_cfg.mac = {0x02, 0, 0, 0, 0, 0x01};
-  client_cfg.ip = wire::ip_from_parts(10, 0, 0, 1);
-
-  stack::HostConfig server_cfg;
-  server_cfg.name = "server";
-  server_cfg.mac = {0x02, 0, 0, 0, 0, 0x02};
-  server_cfg.ip = wire::ip_from_parts(10, 0, 0, 2);
   // The receiver runs locality-driven layer processing: when several
   // packets are waiting, each layer processes the whole batch before the
   // next layer runs, so layer code is fetched into the I-cache once per
   // batch instead of once per packet.
-  server_cfg.mode = core::SchedMode::kLdlp;
-
-  stack::Host client(client_cfg);
-  stack::Host server(server_cfg);
-  stack::NetDevice::connect(client.device(), server.device());
+  stack::HostPair net({.name = "client"},
+                      {.name = "server", .mode = core::SchedMode::kLdlp});
+  stack::Host& client = net.a;  // 10.0.0.1
+  stack::Host& server = net.b;  // 10.0.0.2
 
   // --- 2. TCP connection ------------------------------------------------
   (void)server.tcp().listen(7777);
   stack::PcbId accepted = stack::kNoPcb;
   server.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
 
-  const stack::PcbId conn = client.tcp().connect(server_cfg.ip, 7777);
-  for (int i = 0; i < 8; ++i) {  // pump the wire until the handshake lands
-    client.pump();
-    server.pump();
-  }
+  const stack::PcbId conn =
+      client.tcp().connect(server.ip().ip_addr(), 7777);
+  net.settle(8);  // pump both hosts until the handshake lands
   std::printf("connection state: client=%s server=%s\n",
               std::string(stack::tcp_state_name(client.tcp().state(conn))).c_str(),
               std::string(stack::tcp_state_name(server.tcp().state(accepted))).c_str());

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "synth/synth_stack.hpp"
 #include "traffic/arrivals.hpp"
 
@@ -36,30 +36,18 @@ const char kResponse[] =
 }  // namespace
 
 int main() {
-  stack::HostConfig client_cfg;
-  client_cfg.name = "browser";
-  client_cfg.mac = {2, 0, 0, 0, 0, 1};
-  client_cfg.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig server_cfg;
-  server_cfg.name = "www";
-  server_cfg.mac = {2, 0, 0, 0, 0, 2};
-  server_cfg.ip = wire::ip_from_parts(10, 0, 0, 2);
-  server_cfg.mode = core::SchedMode::kLdlp;
-
-  stack::Host client(client_cfg);
-  stack::Host server(server_cfg);
-  stack::NetDevice::connect(client.device(), server.device());
+  stack::HostPair net({.name = "browser"},
+                      {.name = "www", .mode = core::SchedMode::kLdlp});
+  stack::Host& client = net.a;
+  stack::Host& server = net.b;
 
   (void)server.tcp().listen(80);
   stack::PcbId conn_at_server = stack::kNoPcb;
   server.tcp().set_accept_hook(
       [&](stack::PcbId id) { conn_at_server = id; });
 
-  const stack::PcbId conn = client.tcp().connect(server_cfg.ip, 80);
-  for (int i = 0; i < 8; ++i) {
-    client.pump();
-    server.pump();
-  }
+  const stack::PcbId conn = client.tcp().connect(server.ip().ip_addr(), 80);
+  net.settle(8);
   if (conn_at_server == stack::kNoPcb) {
     std::fprintf(stderr, "handshake failed\n");
     return 1;

@@ -163,7 +163,7 @@ class StackTracer {
   // Thread-local: tracing is a per-thread measurement activity, so a
   // tracer armed on one thread (a fig/table bench) never races with
   // ldlp::par workers pumping their own untraced hosts.
-  static thread_local StackTracer* active_;
+  static inline thread_local StackTracer* active_ = nullptr;
 
   trace::CodeMap code_;
   trace::DataMap data_;

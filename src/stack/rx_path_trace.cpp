@@ -2,42 +2,22 @@
 
 #include <vector>
 
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "wire/ipv4.hpp"
 
 namespace ldlp::stack {
 
-namespace {
-
-/// Pump both sides until quiescent (handshake, ACK exchanges).
-void settle(Host& a, Host& b, int rounds = 16) {
-  for (int i = 0; i < rounds; ++i) {
-    a.pump();
-    b.pump();
-    if (a.device().rx_pending() == 0 && b.device().rx_pending() == 0) break;
-  }
-}
-
-}  // namespace
-
 bool trace_tcp_receive_ack(StackTracer& tracer, trace::TraceBuffer& buffer,
                            const RxTraceOptions& options) {
-  HostConfig ca;
-  ca.name = "sender";
-  ca.mac = {0x02, 0, 0, 0, 0, 0xaa};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
   HostConfig cb;
   cb.name = "receiver";
-  cb.mac = {0x02, 0, 0, 0, 0, 0xbb};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
   // Suppress the receiver's inline every-2nd-segment ACK so the ACK is
   // sent from the exit phase, as in the paper's Table 2 flow.
   cb.tcp.delack_every = 1000;
   cb.tcp.delack_timeout_sec = 10.0;
-
-  Host sender(ca);
-  Host receiver(cb);
-  NetDevice::connect(sender.device(), receiver.device());
+  HostPair net({.name = "sender"}, cb);
+  Host& sender = net.a;
+  Host& receiver = net.b;
 
   const PcbId listener = receiver.tcp().listen(5000);
   (void)listener;
@@ -46,7 +26,7 @@ bool trace_tcp_receive_ack(StackTracer& tracer, trace::TraceBuffer& buffer,
 
   const PcbId conn =
       sender.tcp().connect(wire::ip_from_parts(10, 0, 0, 2), 5000);
-  settle(sender, receiver);
+  net.settle(16);
   if (sender.tcp().state(conn) != TcpState::kEstablished ||
       accepted == kNoPcb) {
     return false;
@@ -57,11 +37,11 @@ bool trace_tcp_receive_ack(StackTracer& tracer, trace::TraceBuffer& buffer,
   std::vector<std::uint8_t> payload(options.payload_bytes, 0x5a);
   for (std::uint32_t i = 0; i < options.prime_segments; ++i) {
     if (!sender.tcp().send(conn, payload)) return false;
-    settle(sender, receiver);
+    net.settle(16);
     std::vector<std::uint8_t> sink(payload.size());
     (void)receiver.sockets().read(receiver.tcp().socket_of(accepted), sink);
     receiver.tcp().ack_now(accepted);
-    settle(sender, receiver);
+    net.settle(16);
   }
 
   const SocketId rx_socket = receiver.tcp().socket_of(accepted);

@@ -22,7 +22,7 @@
 #include <new>
 
 #include "pipe/pipeline.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "time/timer_wheel.hpp"
 
 namespace {
@@ -78,8 +78,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace ldlp::stack {
 namespace {
 
-using wire::ip_from_parts;
-
 enum class Sched { kConv, kLdlp, kStaged };
 constexpr std::array kScheds = {Sched::kConv, Sched::kLdlp, Sched::kStaged};
 
@@ -102,55 +100,44 @@ constexpr int kMeasureSteps = 2000;
 
 /// Two hosts on a back-to-back wire: the client always conventional, the
 /// server under `sched` (the layout of bench/e2e).
-class Rig {
+class Rig : public HostPair {
  public:
-  explicit Rig(Sched sched) {
-    HostConfig cc;
-    cc.name = "client";
-    cc.mac = {2, 0, 0, 0, 0, 1};
-    cc.ip = ip_from_parts(10, 0, 0, 1);
-    cc.tcp.time_wait_sec = 0.005;
-    HostConfig sc = cc;
-    sc.name = "server";
-    sc.mac = {2, 0, 0, 0, 0, 2};
-    sc.ip = ip_from_parts(10, 0, 0, 2);
-    sc.mode = sched == Sched::kConv ? core::SchedMode::kConventional
-                                    : core::SchedMode::kLdlp;
-    client = std::make_unique<Host>(cc);
-    server = std::make_unique<Host>(sc);
-    NetDevice::connect(client->device(), server->device());
+  explicit Rig(Sched sched)
+      : HostPair({.name = "client", .tcp = {.time_wait_sec = 0.005}},
+                 {.name = "server",
+                  .mode = sched == Sched::kConv ? core::SchedMode::kConventional
+                                                : core::SchedMode::kLdlp,
+                  .tcp = {.time_wait_sec = 0.005}}) {
     if (sched == Sched::kStaged) {
       pipe::PipelineConfig pc;
       pc.mode = pipe::RxMode::kHybrid;
       pc.lanes = 2;
       pc.batch_limit = 8;
-      staged = std::make_unique<pipe::StagedRx>(*server, pc);
+      staged = std::make_unique<pipe::StagedRx>(server, pc);
     }
-    server->tcp().set_accept_hook([this](PcbId id) { accepted = id; });
-    (void)server->tcp().listen(kPort);
+    server.tcp().set_accept_hook([this](PcbId id) { accepted = id; });
+    (void)server.tcp().listen(kPort);
   }
 
-  [[nodiscard]] std::uint32_t server_ip() const {
-    return ip_from_parts(10, 0, 0, 2);
-  }
+  [[nodiscard]] std::uint32_t server_ip() { return server.ip().ip_addr(); }
 
   void server_rx() {
     if (staged != nullptr) {
       (void)staged->pump();
     } else {
-      (void)server->pump();
+      (void)server.pump();
     }
   }
 
   void advance() {
-    for (Host* h : {client.get(), server.get()}) {
+    for (Host* h : {&client, &server}) {
       h->advance(kStepSec);
       (void)h->wheel().next_deadline();
     }
   }
 
-  std::unique_ptr<Host> client;
-  std::unique_ptr<Host> server;
+  Host& client = a;
+  Host& server = b;
   std::unique_ptr<pipe::StagedRx> staged;
   PcbId accepted = kNoPcb;
 };
@@ -161,19 +148,19 @@ class RequestReply {
   explicit RequestReply(Sched sched) : rig_(sched) {
     for (std::size_t k = 0; k < kMsg; ++k)
       req_[k] = static_cast<std::uint8_t>(k * 7 + 1);
-    conn_ = rig_.client->tcp().connect(rig_.server_ip(), kPort);
+    conn_ = rig_.client.tcp().connect(rig_.server_ip(), kPort);
     for (int i = 0; i < 50 && rig_.accepted == kNoPcb; ++i) step();
   }
 
   [[nodiscard]] bool established() const {
     return rig_.accepted != kNoPcb &&
-           rig_.client->tcp().state(conn_) == TcpState::kEstablished;
+           rig_.client.tcp().state(conn_) == TcpState::kEstablished;
   }
 
   void step() {
     rig_.server_rx();
     serve();
-    rig_.client->pump();
+    rig_.client.pump();
     dial();
     rig_.advance();
   }
@@ -184,20 +171,20 @@ class RequestReply {
  private:
   void serve() {
     if (rig_.accepted == kNoPcb) return;
-    SocketLayer& socks = rig_.server->sockets();
-    const SocketId sock = rig_.server->tcp().socket_of(rig_.accepted);
+    SocketLayer& socks = rig_.server.sockets();
+    const SocketId sock = rig_.server.tcp().socket_of(rig_.accepted);
     while (socks.readable_bytes(sock) > 0) {
       have_ += socks.read(sock, std::span(in_).subspan(have_));
       if (have_ < kMsg) break;
       have_ = 0;
-      ok &= rig_.server->tcp().send(rig_.accepted, in_);
+      ok &= rig_.server.tcp().send(rig_.accepted, in_);
     }
   }
 
   void dial() {
     if (rig_.accepted == kNoPcb) return;
-    SocketLayer& socks = rig_.client->sockets();
-    const SocketId sock = rig_.client->tcp().socket_of(conn_);
+    SocketLayer& socks = rig_.client.sockets();
+    const SocketId sock = rig_.client.tcp().socket_of(conn_);
     if (waiting_) {
       got_ += socks.read(sock, std::span(reply_).subspan(got_));
       if (got_ < kMsg) return;
@@ -207,7 +194,7 @@ class RequestReply {
     }
     got_ = 0;
     waiting_ = true;
-    ok &= rig_.client->tcp().send(conn_, req_);
+    ok &= rig_.client.tcp().send(conn_, req_);
   }
 
   Rig rig_;
@@ -227,19 +214,19 @@ class Stream {
   explicit Stream(Sched sched) : rig_(sched) {
     for (std::size_t k = 0; k < pattern_.size(); ++k)
       pattern_[k] = static_cast<std::uint8_t>(k * 31 + 5);
-    conn_ = rig_.client->tcp().connect(rig_.server_ip(), kPort);
+    conn_ = rig_.client.tcp().connect(rig_.server_ip(), kPort);
     for (int i = 0; i < 50 && rig_.accepted == kNoPcb; ++i) step();
   }
 
   [[nodiscard]] bool established() const {
     return rig_.accepted != kNoPcb &&
-           rig_.client->tcp().state(conn_) == TcpState::kEstablished;
+           rig_.client.tcp().state(conn_) == TcpState::kEstablished;
   }
 
   void step() {
     rig_.server_rx();
     read();
-    rig_.client->pump();
+    rig_.client.pump();
     write();
     rig_.advance();
   }
@@ -250,19 +237,19 @@ class Stream {
  private:
   void read() {
     if (rig_.accepted == kNoPcb) return;
-    SocketLayer& socks = rig_.server->sockets();
+    SocketLayer& socks = rig_.server.sockets();
     const std::size_t n =
-        socks.read(rig_.server->tcp().socket_of(rig_.accepted), rx_);
+        socks.read(rig_.server.tcp().socket_of(rig_.accepted), rx_);
     for (std::size_t i = 0; i < n; ++i)
       ok &= rx_[i] == pattern_[(rx_off_ + i) % kSeg];
     rx_off_ += n;
     ops = rx_off_ / kSeg;
-    if (n >= 2 * kSeg) rig_.server->tcp().ack_now(rig_.accepted);
+    if (n >= 2 * kSeg) rig_.server.tcp().ack_now(rig_.accepted);
   }
 
   void write() {
     if (rig_.accepted == kNoPcb) return;
-    while (rig_.client->tcp().send(conn_, pattern_)) {
+    while (rig_.client.tcp().send(conn_, pattern_)) {
     }
   }
 
@@ -279,7 +266,7 @@ class Stream {
 class Churn {
  public:
   explicit Churn(Sched sched) : rig_(sched) {
-    rig_.server->tcp().set_accept_hook([this](PcbId id) {
+    rig_.server.tcp().set_accept_hook([this](PcbId id) {
       ok &= served_n_ < served_.size();
       if (served_n_ < served_.size()) served_[served_n_++] = id;
     });
@@ -288,7 +275,7 @@ class Churn {
   void step() {
     rig_.server_rx();
     serve();
-    rig_.client->pump();
+    rig_.client.pump();
     dial();
     rig_.advance();
   }
@@ -298,8 +285,8 @@ class Churn {
 
  private:
   void serve() {
-    TcpLayer& tcp = rig_.server->tcp();
-    SocketLayer& socks = rig_.server->sockets();
+    TcpLayer& tcp = rig_.server.tcp();
+    SocketLayer& socks = rig_.server.sockets();
     for (std::size_t j = 0; j < served_n_;) {
       const PcbId id = served_[j];
       const SocketId sock = tcp.socket_of(id);
@@ -318,11 +305,11 @@ class Churn {
   }
 
   void dial() {
-    TcpLayer& tcp = rig_.client->tcp();
+    TcpLayer& tcp = rig_.client.tcp();
     if (conn_ != kNoPcb) {
       const SocketId sock = tcp.socket_of(conn_);
-      if (rig_.client->sockets().readable_bytes(sock) < kMsg) return;
-      ok &= rig_.client->sockets().read(sock, reply_) == kMsg;
+      if (rig_.client.sockets().readable_bytes(sock) < kMsg) return;
+      ok &= rig_.client.sockets().read(sock, reply_) == kMsg;
       tcp.close(conn_);
       ++ops;
     }

@@ -22,7 +22,7 @@
 #include "obs/metrics.hpp"
 #include "rpc/nfs_lite.hpp"
 #include "signal/node.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 
 namespace ldlp {
 namespace {
@@ -37,41 +37,19 @@ std::string trace_for(std::uint64_t seed, const fault::FaultInjector& inj) {
 
 /// Two hosts joined by a wire, each with its own injector running an
 /// independent random plan derived from the scenario seed.
-struct ChaosPair {
-  std::unique_ptr<stack::Host> a;
-  std::unique_ptr<stack::Host> b;
+struct ChaosPair : stack::HostPair {
   std::unique_ptr<fault::FaultInjector> fault_a;
   std::unique_ptr<fault::FaultInjector> fault_b;
 
   explicit ChaosPair(std::uint64_t seed,
-                     core::SchedMode mode = core::SchedMode::kConventional) {
-    stack::HostConfig ca;
-    ca.name = "a";
-    ca.mac = {2, 0, 0, 0, 0, 1};
-    ca.ip = ip_from_parts(10, 0, 0, 1);
-    ca.mode = mode;
-    stack::HostConfig cb = ca;
-    cb.name = "b";
-    cb.mac = {2, 0, 0, 0, 0, 2};
-    cb.ip = ip_from_parts(10, 0, 0, 2);
-    a = std::make_unique<stack::Host>(ca);
-    b = std::make_unique<stack::Host>(cb);
-    stack::NetDevice::connect(a->device(), b->device());
+                     core::SchedMode mode = core::SchedMode::kConventional)
+      : HostPair({.name = "a", .mode = mode}, {.name = "b", .mode = mode}) {
     fault_a = std::make_unique<fault::FaultInjector>(
         fault::FaultPlan::random(seed, kHorizon), seed * 2 + 1);
     fault_b = std::make_unique<fault::FaultInjector>(
         fault::FaultPlan::random(seed ^ 0xbeefULL, kHorizon), seed * 2 + 2);
-    a->attach_fault(fault_a.get());
-    b->attach_fault(fault_b.get());
-  }
-
-  void tick(double dt, int rounds = 2) {
-    a->advance(dt);
-    b->advance(dt);
-    for (int i = 0; i < rounds; ++i) {
-      a->pump();
-      b->pump();
-    }
+    a.attach_fault(fault_a.get());
+    b.attach_fault(fault_b.get());
   }
 
   /// End-of-scenario checks common to every stack scenario: detach the
@@ -83,12 +61,12 @@ struct ChaosPair {
     for (int i = 0;
          i < 50 && !(fault_a->faults_cleared() && fault_b->faults_cleared());
          ++i)
-      tick(0.1);
+      tick(0.1, 2);
     EXPECT_TRUE(fault_a->faults_cleared());
     EXPECT_TRUE(fault_b->faults_cleared());
-    a->attach_fault(nullptr);
-    b->attach_fault(nullptr);
-    for (stack::Host* h : {a.get(), b.get()}) {
+    a.attach_fault(nullptr);
+    b.attach_fault(nullptr);
+    for (stack::Host* h : {&a, &b}) {
       h->pump();
       EXPECT_EQ(h->graph().backlog(), 0u) << h->name();
       // Conservation at admission: every message handed to the graph was
@@ -135,24 +113,24 @@ TEST_P(ChaosSeeds, TcpTransferConvergesAfterFaults) {
 
   // Conformance checking rides along: structural invariants after every
   // scheduler pass, and a delivery oracle on the a->b stream.
-  check::HostAuditor aud_a(*net.a);
-  check::HostAuditor aud_b(*net.b);
+  check::HostAuditor aud_a(net.a);
+  check::HostAuditor aud_b(net.b);
   aud_a.install();
   aud_b.install();
   check::DeliveryOracle oracle;
   const auto flow = oracle.open_stream("a->b");
-  net.b->sockets().set_tap(&oracle);
+  net.b.sockets().set_tap(&oracle);
 
   stack::PcbId accepted = stack::kNoPcb;
-  net.b->tcp().set_accept_hook([&](stack::PcbId id) {
+  net.b.tcp().set_accept_hook([&](stack::PcbId id) {
     if (accepted == stack::kNoPcb)
-      oracle.bind_stream_rx(flow, net.b->tcp().socket_of(id));
+      oracle.bind_stream_rx(flow, net.b.tcp().socket_of(id));
     accepted = id;
   });
-  (void)net.b->tcp().listen(80);
+  (void)net.b.tcp().listen(80);
   const stack::PcbId conn =
-      net.a->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
-  net.a->tcp().set_send_tap(
+      net.a.tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+  net.a.tcp().set_send_tap(
       [&](stack::PcbId id, std::span<const std::uint8_t> bytes) {
         if (id == conn) oracle.stream_sent(flow, bytes);
       });
@@ -160,45 +138,45 @@ TEST_P(ChaosSeeds, TcpTransferConvergesAfterFaults) {
   // Connect straight into the fault window; SYN retransmission must carry
   // the handshake through once the faults clear.
   for (int i = 0; i < 1200 &&
-                  net.a->tcp().state(conn) != stack::TcpState::kEstablished;
+                  net.a.tcp().state(conn) != stack::TcpState::kEstablished;
        ++i)
-    net.tick(0.05);
-  ASSERT_EQ(net.a->tcp().state(conn), stack::TcpState::kEstablished);
+    net.tick(0.05, 2);
+  ASSERT_EQ(net.a.tcp().state(conn), stack::TcpState::kEstablished);
 
   std::vector<std::uint8_t> payload(4000);
   for (std::size_t i = 0; i < payload.size(); ++i)
     payload[i] = static_cast<std::uint8_t>(i * 31 + seed);
-  ASSERT_TRUE(net.a->tcp().send(conn, payload));
+  ASSERT_TRUE(net.a.tcp().send(conn, payload));
 
   // The server may still sit in SYN_RECEIVED (the handshake ACK can be a
   // casualty); the data segments carry it to ESTABLISHED, firing the
   // accept hook, after which the stream must arrive intact.
   std::vector<std::uint8_t> got;
   for (int i = 0; i < 1200 && got.size() < payload.size(); ++i) {
-    net.tick(0.05);
+    net.tick(0.05, 2);
     if (accepted == stack::kNoPcb) continue;
     std::vector<std::uint8_t> chunk(1500);
     const std::size_t n =
-        net.b->sockets().read(net.b->tcp().socket_of(accepted), chunk);
+        net.b.sockets().read(net.b.tcp().socket_of(accepted), chunk);
     got.insert(got.end(), chunk.begin(),
                chunk.begin() + static_cast<std::ptrdiff_t>(n));
   }
   ASSERT_NE(accepted, stack::kNoPcb);
   EXPECT_EQ(got, payload);  // delivered in order, uncorrupted, exactly once
 
-  net.a->tcp().close(conn);
-  net.b->tcp().close(accepted);
-  for (int i = 0; i < 8; ++i) net.tick(1.0);
+  net.a.tcp().close(conn);
+  net.b.tcp().close(accepted);
+  for (int i = 0; i < 8; ++i) net.tick(1.0, 2);
   net.check_invariants();
-  EXPECT_EQ(net.a->pool().stats().mbufs_outstanding(), 0u);
-  EXPECT_EQ(net.b->pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.a.pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.b.pool().stats().mbufs_outstanding(), 0u);
 
   oracle.finalize();
   EXPECT_TRUE(clean(oracle));
   EXPECT_TRUE(clean(aud_a));
   EXPECT_TRUE(clean(aud_b));
   EXPECT_GT(aud_a.stats().passes, 0u);
-  net.b->sockets().set_tap(nullptr);
+  net.b.sockets().set_tap(nullptr);
 }
 
 // ---- DNS under chaos -------------------------------------------------------
@@ -207,14 +185,14 @@ TEST_P(ChaosSeeds, DnsResolutionConvergesAfterFaults) {
   const std::uint64_t seed = GetParam();
   ChaosPair net(seed ^ 0xd15ULL);
   SCOPED_TRACE(trace_for(seed, *net.fault_a));
-  dns::DnsServer server(*net.b);
+  dns::DnsServer server(net.b);
   constexpr int kNames = 5;
   for (int i = 0; i < kNames; ++i)
     server.add_a("h" + std::to_string(i) + ".chaos",
                  ip_from_parts(10, 7, 0, static_cast<std::uint8_t>(i)));
   dns::DnsResolver::Config cfg;
   cfg.server_ip = ip_from_parts(10, 0, 0, 2);
-  dns::DnsResolver resolver(*net.a, cfg);
+  dns::DnsResolver resolver(net.a, cfg);
 
   // A lookup may exhaust its retries inside the fault window (that is the
   // clean-failure path); convergence means a later retry succeeds.
@@ -232,10 +210,10 @@ TEST_P(ChaosSeeds, DnsResolutionConvergesAfterFaults) {
   for (int i = 0; i < kNames; ++i) kick(i);
 
   for (int iter = 0; iter < 400; ++iter) {
-    net.tick(0.25);
+    net.tick(0.25, 2);
     server.poll();
-    net.b->pump();
-    net.a->pump();
+    net.b.pump();
+    net.a.pump();
     resolver.poll();
     bool done = true;
     for (int i = 0; i < kNames; ++i) {
@@ -250,8 +228,8 @@ TEST_P(ChaosSeeds, DnsResolutionConvergesAfterFaults) {
     EXPECT_EQ(*results[i], ip_from_parts(10, 7, 0, static_cast<std::uint8_t>(i)));
   }
   net.check_invariants();
-  EXPECT_EQ(net.a->pool().stats().mbufs_outstanding(), 0u);
-  EXPECT_EQ(net.b->pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.a.pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.b.pool().stats().mbufs_outstanding(), 0u);
 }
 
 // ---- NFS under chaos -------------------------------------------------------
@@ -260,17 +238,17 @@ TEST_P(ChaosSeeds, NfsOpsConvergeAfterFaults) {
   const std::uint64_t seed = GetParam();
   ChaosPair net(seed ^ 0x9f5ULL);
   SCOPED_TRACE(trace_for(seed, *net.fault_a));
-  rpc::NfsServer server(*net.b);
+  rpc::NfsServer server(net.b);
   rpc::NfsClient::Config cfg;
   cfg.server_ip = ip_from_parts(10, 0, 0, 2);
-  rpc::NfsClient client(*net.a, cfg, [&net, &server] {
+  rpc::NfsClient client(net.a, cfg, [&net, &server] {
     // Keep both clocks moving so each side's fault window expires.
-    net.b->advance(0.05);
-    net.a->pump();
-    net.b->pump();
+    net.b.advance(0.05);
+    net.a.pump();
+    net.b.pump();
     server.poll();
-    net.b->pump();
-    net.a->pump();
+    net.b.pump();
+    net.a.pump();
   });
 
   // Each op retries internally (capped backoff) and may still fail inside
@@ -300,10 +278,10 @@ TEST_P(ChaosSeeds, NfsOpsConvergeAfterFaults) {
   EXPECT_EQ(*back, content);  // duplicate-request cache kept writes single
 
   // Drain past both horizons so the convergence invariants apply.
-  for (int i = 0; i < 30; ++i) net.tick(0.1);
+  for (int i = 0; i < 30; ++i) net.tick(0.1, 2);
   net.check_invariants();
-  EXPECT_EQ(net.a->pool().stats().mbufs_outstanding(), 0u);
-  EXPECT_EQ(net.b->pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.a.pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.b.pool().stats().mbufs_outstanding(), 0u);
 }
 
 // ---- Signalling under chaos ------------------------------------------------
@@ -358,42 +336,42 @@ TEST_P(ChaosSeeds, PoolExhaustionRecoversLeakFree) {
   fault::FaultPlan squeeze;
   squeeze.add({fault::FaultKind::kPoolExhaustion, 0.0, 0.4, 1.0, 4, 0.0});
   fault::FaultInjector pinch(squeeze, seed);
-  net.a->attach_fault(&pinch);
+  net.a.attach_fault(&pinch);
   SCOPED_TRACE(trace_for(seed, pinch));
 
   const auto sock =
-      net.b->sockets().create(stack::SocketKind::kDatagram, 64 * 1024);
-  ASSERT_TRUE(net.b->udp().bind(7777, sock));
+      net.b.sockets().create(stack::SocketKind::kDatagram, 64 * 1024);
+  ASSERT_TRUE(net.b.udp().bind(7777, sock));
   const std::vector<std::uint8_t> payload(64, 0xab);
 
   // Send through the squeeze: allocation failures are silent drops, never
   // crashes or asserts.
   for (int i = 0; i < 40; ++i) {
-    net.a->udp().send(1, ip_from_parts(10, 0, 0, 2), 7777, payload);
-    net.tick(0.02);
+    net.a.udp().send(1, ip_from_parts(10, 0, 0, 2), 7777, payload);
+    net.tick(0.02, 2);
   }
   EXPECT_GT(pinch.stats().pool_squeezes, 0u);
 
   // Past the episode the held mbufs return and traffic flows again.
-  for (int i = 0; i < 30; ++i) net.tick(0.1);
+  for (int i = 0; i < 30; ++i) net.tick(0.1, 2);
   ASSERT_TRUE(pinch.faults_cleared());
-  const auto rx_before = net.b->udp().udp_stats().rx;
+  const auto rx_before = net.b.udp().udp_stats().rx;
   for (int i = 0; i < 5; ++i) {
-    net.a->udp().send(1, ip_from_parts(10, 0, 0, 2), 7777, payload);
-    net.tick(0.05);
+    net.a.udp().send(1, ip_from_parts(10, 0, 0, 2), 7777, payload);
+    net.tick(0.05, 2);
   }
-  EXPECT_EQ(net.b->udp().udp_stats().rx, rx_before + 5);
+  EXPECT_EQ(net.b.udp().udp_stats().rx, rx_before + 5);
 
-  net.a->attach_fault(nullptr);
-  net.b->attach_fault(nullptr);
-  net.a->pump();
-  net.b->pump();
+  net.a.attach_fault(nullptr);
+  net.b.attach_fault(nullptr);
+  net.a.pump();
+  net.b.pump();
   // Socket rx buffers drained, nothing in flight: the pools must balance.
   std::vector<std::uint8_t> sink(4096);
-  while (net.b->sockets().read(sock, sink) > 0) {
+  while (net.b.sockets().read(sock, sink) > 0) {
   }
-  EXPECT_EQ(net.a->pool().stats().mbufs_outstanding(), 0u);
-  EXPECT_EQ(net.b->pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.a.pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.b.pool().stats().mbufs_outstanding(), 0u);
 }
 
 // ---- NetDevice drop accounting ---------------------------------------------

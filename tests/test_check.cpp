@@ -21,7 +21,7 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "recover/overlay_convergence.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "time/timer_wheel.hpp"
 
 namespace ldlp {
@@ -190,57 +190,28 @@ TEST(Oracle, PublishMirrorsStats) {
 
 // ---- Live host pair: oracle + auditor + persist timer ------------------
 
-/// Two hosts wired back to back (no faults) with an auditor on each.
-struct Pair {
-  std::unique_ptr<stack::Host> a;
-  std::unique_ptr<stack::Host> b;
-
-  explicit Pair(core::SchedMode mode) {
-    stack::HostConfig ca;
-    ca.name = "a";
-    ca.mac = {2, 0, 0, 0, 0, 1};
-    ca.ip = ip_from_parts(10, 0, 0, 1);
-    ca.mode = mode;
-    stack::HostConfig cb = ca;
-    cb.name = "b";
-    cb.mac = {2, 0, 0, 0, 0, 2};
-    cb.ip = ip_from_parts(10, 0, 0, 2);
-    a = std::make_unique<stack::Host>(ca);
-    b = std::make_unique<stack::Host>(cb);
-    stack::NetDevice::connect(a->device(), b->device());
-  }
-
-  void tick(double dt, int rounds = 2) {
-    a->advance(dt);
-    b->advance(dt);
-    for (int i = 0; i < rounds; ++i) {
-      a->pump();
-      b->pump();
-    }
-  }
-};
-
 TEST(HostAuditor, CleanTransferAuditsClean) {
   for (const auto mode :
        {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {
-    Pair net(mode);
-    check::HostAuditor aud_a(*net.a);
-    check::HostAuditor aud_b(*net.b);
+    stack::HostPair net({.name = "a", .mode = mode},
+                        {.name = "b", .mode = mode});
+    check::HostAuditor aud_a(net.a);
+    check::HostAuditor aud_b(net.b);
     aud_a.install();
     aud_b.install();
 
     check::DeliveryOracle oracle;
     const auto flow = oracle.open_stream("a->b");
-    net.b->sockets().set_tap(&oracle);
+    net.b.sockets().set_tap(&oracle);
     stack::PcbId accepted = stack::kNoPcb;
-    net.b->tcp().set_accept_hook([&](stack::PcbId id) {
+    net.b.tcp().set_accept_hook([&](stack::PcbId id) {
       accepted = id;
-      oracle.bind_stream_rx(flow, net.b->tcp().socket_of(id));
+      oracle.bind_stream_rx(flow, net.b.tcp().socket_of(id));
     });
-    (void)net.b->tcp().listen(80);
+    (void)net.b.tcp().listen(80);
     const stack::PcbId conn =
-        net.a->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
-    net.a->tcp().set_send_tap(
+        net.a.tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+    net.a.tcp().set_send_tap(
         [&](stack::PcbId id, std::span<const std::uint8_t> bytes) {
           if (id == conn) oracle.stream_sent(flow, bytes);
         });
@@ -252,13 +223,13 @@ TEST(HostAuditor, CleanTransferAuditsClean) {
     bool queued = false;
     for (int i = 0; i < 400 && got.size() < payload.size(); ++i) {
       if (!queued &&
-          net.a->tcp().state(conn) == stack::TcpState::kEstablished)
-        queued = net.a->tcp().send(conn, payload);
-      net.tick(0.05);
+          net.a.tcp().state(conn) == stack::TcpState::kEstablished)
+        queued = net.a.tcp().send(conn, payload);
+      net.tick(0.05, 2);
       if (accepted == stack::kNoPcb) continue;
       std::uint8_t chunk[512];
       const std::size_t n =
-          net.b->sockets().read(net.b->tcp().socket_of(accepted), chunk);
+          net.b.sockets().read(net.b.tcp().socket_of(accepted), chunk);
       got.insert(got.end(), chunk, chunk + n);
     }
     EXPECT_EQ(got, payload);
@@ -268,30 +239,30 @@ TEST(HostAuditor, CleanTransferAuditsClean) {
     EXPECT_TRUE(clean(aud_b));
     EXPECT_GT(aud_a.stats().passes, 0u);
     EXPECT_GT(aud_b.stats().pcbs_checked, 0u);
-    net.b->sockets().set_tap(nullptr);
+    net.b.sockets().set_tap(nullptr);
   }
 }
 
 /// Open a connection a -> b, exchange a little data, then either close
 /// it in order or abort it (a RST resets both ends). Returns true once
 /// the connection was established.
-bool run_connection(Pair& net, bool abort) {
-  (void)net.b->tcp().listen(80);
+bool run_connection(stack::HostPair& net, bool abort) {
+  (void)net.b.tcp().listen(80);
   const stack::PcbId conn =
-      net.a->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
-  for (int i = 0; i < 20 && net.a->tcp().state(conn) !=
+      net.a.tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+  for (int i = 0; i < 20 && net.a.tcp().state(conn) !=
                                 stack::TcpState::kEstablished;
        ++i)
-    net.tick(0.01);
-  if (net.a->tcp().state(conn) != stack::TcpState::kEstablished) return false;
-  if (!net.a->tcp().send(conn, bytes_of({1, 2, 3, 4}))) return false;
-  net.tick(0.01);
+    net.tick(0.01, 2);
+  if (net.a.tcp().state(conn) != stack::TcpState::kEstablished) return false;
+  if (!net.a.tcp().send(conn, bytes_of({1, 2, 3, 4}))) return false;
+  net.tick(0.01, 2);
   if (abort) {
-    net.a->tcp().abort(conn);
+    net.a.tcp().abort(conn);
   } else {
-    net.a->tcp().close(conn);
+    net.a.tcp().close(conn);
   }
-  for (int i = 0; i < 40; ++i) net.tick(0.05);
+  for (int i = 0; i < 40; ++i) net.tick(0.05, 2);
   return true;
 }
 
@@ -320,9 +291,10 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
   for (const auto mode :
        {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {
     {
-      Pair net(mode);
-      check::HostAuditor aud_a(*net.a);
-      check::HostAuditor aud_b(*net.b);
+      stack::HostPair net({.name = "a", .mode = mode},
+                          {.name = "b", .mode = mode});
+      check::HostAuditor aud_a(net.a);
+      check::HostAuditor aud_b(net.b);
       aud_a.install();
       aud_b.install();
       ASSERT_TRUE(run_connection(net, /*abort=*/true));
@@ -330,14 +302,14 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
       aud_b.on_pass();
       EXPECT_TRUE(clean(aud_a));
       EXPECT_TRUE(clean(aud_b));
-      ASSERT_GT(net.a->tcp().tcp_stats().conns_reset, 0u);
-      ASSERT_GT(net.b->tcp().tcp_stats().conns_reset, 0u);
+      ASSERT_GT(net.a.tcp().tcp_stats().conns_reset, 0u);
+      ASSERT_GT(net.b.tcp().tcp_stats().conns_reset, 0u);
 
       // The RST reset both ends: a's connection (pcb 0) and b's child
       // (pcb 1, next to the listener).
-      stack::TcpLayerTestPeer::keep_stale_entry(net.a->tcp(), 0);
-      stack::TcpLayerTestPeer::keep_stale_entry(net.b->tcp(), 1);
-      net.tick(0.05);
+      stack::TcpLayerTestPeer::keep_stale_entry(net.a.tcp(), 0);
+      stack::TcpLayerTestPeer::keep_stale_entry(net.b.tcp(), 1);
+      net.tick(0.05, 2);
       aud_a.on_pass();
       aud_b.on_pass();
       for (const check::HostAuditor* aud : {&aud_a, &aud_b}) {
@@ -348,9 +320,11 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
       }
     }
     {
-      Pair net(mode);  // calm: orderly close never resets
-      check::HostAuditor aud_a(*net.a);
-      check::HostAuditor aud_b(*net.b);
+      // Calm: an orderly close never resets.
+      stack::HostPair net({.name = "a", .mode = mode},
+                          {.name = "b", .mode = mode});
+      check::HostAuditor aud_a(net.a);
+      check::HostAuditor aud_b(net.b);
       aud_a.install();
       aud_b.install();
       ASSERT_TRUE(run_connection(net, /*abort=*/false));
@@ -365,12 +339,12 @@ TEST(HostAuditor, StaleDemuxEntryCaughtCalmRunClean) {
 TEST(HostAuditor, KeepsTheFirst64FindingsAndCountsEveryOne) {
   // A planted fault that persists is found again on every pass: the
   // auditor counts every finding but keeps only the first 64.
-  Pair net(core::SchedMode::kConventional);
-  check::HostAuditor aud(*net.a);
+  stack::HostPair net({.name = "a"}, {.name = "b"});
+  check::HostAuditor aud(net.a);
   ASSERT_TRUE(run_connection(net, /*abort=*/true));
   aud.on_pass();
   ASSERT_TRUE(clean(aud));
-  stack::TcpLayerTestPeer::keep_stale_entry(net.a->tcp(), 0);
+  stack::TcpLayerTestPeer::keep_stale_entry(net.a.tcp(), 0);
   for (int i = 0; i < 100; ++i) aud.on_pass();
   EXPECT_EQ(aud.violation_count(), 100u);
   EXPECT_EQ(aud.violations().size(), 64u);
@@ -481,20 +455,20 @@ TEST(HostAuditor, PersistProbeBreaksZeroWindowDeadlock) {
   // none — only the sender's persist probe can restart the transfer.
   // Conventional mode appends synchronously, so advertised windows track
   // the receive buffer exactly and the stall forms deterministically.
-  Pair net(core::SchedMode::kConventional);
-  check::HostAuditor aud_a(*net.a);
+  stack::HostPair net({.name = "a"}, {.name = "b"});
+  check::HostAuditor aud_a(net.a);
   aud_a.install();
 
   stack::PcbId accepted = stack::kNoPcb;
-  net.b->tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
-  (void)net.b->tcp().listen(80);
+  net.b.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
+  (void)net.b.tcp().listen(80);
   const stack::PcbId conn =
-      net.a->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+      net.a.tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
   for (int i = 0; i < 100 &&
-                  net.a->tcp().state(conn) != stack::TcpState::kEstablished;
+                  net.a.tcp().state(conn) != stack::TcpState::kEstablished;
        ++i)
-    net.tick(0.05);
-  ASSERT_EQ(net.a->tcp().state(conn), stack::TcpState::kEstablished);
+    net.tick(0.05, 2);
+  ASSERT_EQ(net.a.tcp().state(conn), stack::TcpState::kEstablished);
 
   // Fill b's receive buffer (nobody reads) until a's window closes.
   std::vector<std::uint8_t> payload(24000);
@@ -504,25 +478,25 @@ TEST(HostAuditor, PersistProbeBreaksZeroWindowDeadlock) {
   for (int i = 0; i < 200 && queued < payload.size(); ++i) {
     const std::span<const std::uint8_t> rest(payload.data() + queued,
                                              payload.size() - queued);
-    if (net.a->tcp().send(conn, rest)) queued = payload.size();
-    net.tick(0.05);
+    if (net.a.tcp().send(conn, rest)) queued = payload.size();
+    net.tick(0.05, 2);
   }
   ASSERT_EQ(queued, payload.size()) << "send buffer never drained";
-  for (int i = 0; i < 40; ++i) net.tick(0.05);
+  for (int i = 0; i < 40; ++i) net.tick(0.05, 2);
 
   // Now drain the receiver; completion requires a persist probe.
   std::vector<std::uint8_t> got;
   ASSERT_NE(accepted, stack::kNoPcb);
   for (int i = 0; i < 600 && got.size() < payload.size(); ++i) {
-    net.tick(0.05);
+    net.tick(0.05, 2);
     std::uint8_t chunk[2048];
     const std::size_t n =
-        net.b->sockets().read(net.b->tcp().socket_of(accepted), chunk);
+        net.b.sockets().read(net.b.tcp().socket_of(accepted), chunk);
     got.insert(got.end(), chunk, chunk + n);
   }
   EXPECT_EQ(got.size(), payload.size());
   EXPECT_EQ(got, payload);
-  EXPECT_GT(net.a->tcp().pcb_stats(conn).persist_probes, 0u);
+  EXPECT_GT(net.a.tcp().pcb_stats(conn).persist_probes, 0u);
   EXPECT_TRUE(clean(aud_a));
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dns/resolver.hpp"
+#include "stack/host_pair.hpp"
 
 namespace ldlp::dns {
 namespace {
@@ -98,7 +99,7 @@ TEST(DnsMsg, ResponseWithRecordsRoundTrip) {
 TEST(DnsMsg, MalformedInputsRejected) {
   EXPECT_FALSE(decode(std::vector<std::uint8_t>(5, 0)).has_value());
   auto bytes = encode(DnsMessage::query(1, "a.b"));
-  bytes.resize(bytes.size() - 2);  // truncated question
+  bytes.erase(bytes.end() - 2, bytes.end());  // truncated question
   EXPECT_FALSE(decode(bytes).has_value());
   // Absurd record counts.
   auto bomb = encode(DnsMessage::query(1, "a.b"));
@@ -109,46 +110,34 @@ TEST(DnsMsg, MalformedInputsRejected) {
 
 // ---- End-to-end fixtures ---------------------------------------------------
 
-struct DnsNet {
-  stack::HostConfig client_cfg;
-  stack::HostConfig server_cfg;
-  std::unique_ptr<stack::Host> client;
-  std::unique_ptr<stack::Host> server;
+struct DnsNet : stack::HostPair {
+  stack::Host& client = a;
+  stack::Host& server = b;
   std::unique_ptr<DnsServer> dns;
   std::unique_ptr<DnsResolver> resolver;
 
-  explicit DnsNet(core::SchedMode mode = core::SchedMode::kConventional) {
-    client_cfg.name = "stub";
-    client_cfg.mac = {2, 0, 0, 0, 0, 1};
-    client_cfg.ip = ip_from_parts(10, 0, 0, 1);
-    client_cfg.mode = mode;
-    server_cfg.name = "ns";
-    server_cfg.mac = {2, 0, 0, 0, 0, 2};
-    server_cfg.ip = ip_from_parts(10, 0, 0, 2);
-    server_cfg.mode = mode;
-    client = std::make_unique<stack::Host>(client_cfg);
-    server = std::make_unique<stack::Host>(server_cfg);
-    stack::NetDevice::connect(client->device(), server->device());
-    dns = std::make_unique<DnsServer>(*server);
+  explicit DnsNet(core::SchedMode mode = core::SchedMode::kConventional)
+      : HostPair({.name = "stub", .mode = mode}, {.name = "ns", .mode = mode}) {
+    dns = std::make_unique<DnsServer>(server);
     DnsResolver::Config cfg;
-    cfg.server_ip = server_cfg.ip;
-    resolver = std::make_unique<DnsResolver>(*client, cfg);
+    cfg.server_ip = server.ip().ip_addr();
+    resolver = std::make_unique<DnsResolver>(client, cfg);
   }
 
   void settle(int rounds = 8) {
     for (int i = 0; i < rounds; ++i) {
-      client->pump();
-      server->pump();
+      client.pump();
+      server.pump();
       dns->poll();
-      server->pump();
-      client->pump();
+      server.pump();
+      client.pump();
       resolver->poll();
     }
   }
 
   void tick(double dt) {
-    client->advance(dt);
-    server->advance(dt);
+    client.advance(dt);
+    server.advance(dt);
     settle(2);
   }
 };
@@ -233,12 +222,12 @@ TEST(DnsEndToEnd, RetriesThroughLoss) {
   DnsNet net;
   net.dns->add_a("host.test", ip_from_parts(10, 1, 1, 1));
   // Drop the first transmission toward the server; the retry gets through.
-  net.server->device().set_loss(1.0, 3);
+  net.server.device().set_loss(1.0, 3);
   std::optional<std::uint32_t> result;
   net.resolver->resolve("host.test",
                         [&](const std::string&, auto addr) { result = addr; });
   net.settle(2);
-  net.server->device().set_loss(0.0);
+  net.server.device().set_loss(0.0);
   EXPECT_FALSE(result.has_value());
   for (int i = 0; i < 4 && !result.has_value(); ++i) net.tick(0.6);
   ASSERT_TRUE(result.has_value());
@@ -248,7 +237,7 @@ TEST(DnsEndToEnd, RetriesThroughLoss) {
 TEST(DnsEndToEnd, RetryExhaustionFailsCleanly) {
   DnsNet net;
   net.dns->add_a("host.test", ip_from_parts(10, 1, 1, 1));
-  net.server->device().set_loss(1.0, 5);  // server never hears us
+  net.server.device().set_loss(1.0, 5);  // server never hears us
   int callbacks = 0;
   std::optional<std::uint32_t> result = 1;
   net.resolver->resolve("host.test", [&](const std::string&, auto addr) {
@@ -285,7 +274,7 @@ int exhaust_lookup(DnsNet& net, const std::string& name) {
 TEST(DnsEndToEnd, ExhaustionNegativelyCachedBriefly) {
   DnsNet net;
   net.dns->add_a("host.test", ip_from_parts(10, 1, 1, 1));
-  net.server->device().set_loss(1.0, 5);  // server never hears us
+  net.server.device().set_loss(1.0, 5);  // server never hears us
   exhaust_lookup(net, "host.test");
 
   // Within failure_ttl a retry storm is absorbed by the cache: the
@@ -307,7 +296,7 @@ TEST(DnsEndToEnd, ExhaustionNegativelyCachedBriefly) {
 TEST(DnsEndToEnd, ConsecutiveExhaustionsDoubleTheNegativeTtl) {
   DnsNet net;
   net.dns->add_a("host.test", ip_from_parts(10, 1, 1, 1));
-  net.server->device().set_loss(1.0, 5);
+  net.server.device().set_loss(1.0, 5);
   exhaust_lookup(net, "host.test");
 
   // Past the first 0.25 s TTL: the entry is stale and a full retry
@@ -332,12 +321,12 @@ TEST(DnsEndToEnd, ConsecutiveExhaustionsDoubleTheNegativeTtl) {
 TEST(DnsEndToEnd, HealedPathResolvesOnceNegativeTtlExpires) {
   DnsNet net;
   net.dns->add_a("host.test", ip_from_parts(10, 1, 1, 1));
-  net.server->device().set_loss(1.0, 5);
+  net.server.device().set_loss(1.0, 5);
   exhaust_lookup(net, "host.test");
 
   // The path heals. The short negative TTL must not wedge recovery:
   // once it lapses, the next lookup goes to the wire and succeeds.
-  net.server->device().set_loss(0.0);
+  net.server.device().set_loss(0.0);
   net.tick(0.3);
   bool done = false;
   std::optional<std::uint32_t> result;
@@ -400,7 +389,7 @@ TEST(DnsEndToEnd, BurstOfLookupsUnderLdlp) {
   net.settle();
   EXPECT_EQ(resolved, 30);
   // The burst of 30 queries crossed the server's stack in batches.
-  EXPECT_GT(net.server->eth().stats().mean_batch(), 2.0);
+  EXPECT_GT(net.server.eth().stats().mean_batch(), 2.0);
 }
 
 }  // namespace

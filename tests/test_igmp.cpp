@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 
 namespace ldlp::stack {
 namespace {
@@ -48,64 +48,38 @@ TEST(IgmpCodec, MulticastPredicates) {
   EXPECT_FALSE(is_multicast(0xffffffff));
 }
 
-struct McastPair {
-  std::unique_ptr<Host> a;
-  std::unique_ptr<Host> b;
-
-  McastPair() {
-    HostConfig ca;
-    ca.name = "a";
-    ca.mac = {2, 0, 0, 0, 0, 1};
-    ca.ip = ip_from_parts(10, 0, 0, 1);
-    HostConfig cb = ca;
-    cb.name = "b";
-    cb.mac = {2, 0, 0, 0, 0, 2};
-    cb.ip = ip_from_parts(10, 0, 0, 2);
-    a = std::make_unique<Host>(ca);
-    b = std::make_unique<Host>(cb);
-    NetDevice::connect(a->device(), b->device());
-  }
-
-  void settle(int rounds = 6) {
-    for (int i = 0; i < rounds; ++i) {
-      a->pump();
-      b->pump();
-    }
-  }
-};
-
 TEST(IgmpHostSide, JoinSendsUnsolicitedReport) {
-  McastPair net;
-  net.a->igmp().join(kGroup);
-  EXPECT_EQ(net.a->igmp().stats().reports_sent, 1u);
-  EXPECT_TRUE(net.a->igmp().is_member(kGroup));
-  net.settle();
+  HostPair net({.name = "a"}, {.name = "b"});
+  net.a.igmp().join(kGroup);
+  EXPECT_EQ(net.a.igmp().stats().reports_sent, 1u);
+  EXPECT_TRUE(net.a.igmp().is_member(kGroup));
+  net.settle(6);
   // The peer (also not a member) sees the report at IP as IGMP protocol.
-  EXPECT_GE(net.b->ip().ip_stats().rx_igmp, 0u);  // filtered: not a member
+  EXPECT_GE(net.b.ip().ip_stats().rx_igmp, 0u);  // filtered: not a member
   // Second unsolicited report after the random delay.
   for (int i = 0; i < 12; ++i) {
-    net.a->advance(1.0);
+    net.a.advance(1.0);
     net.settle(1);
   }
-  EXPECT_EQ(net.a->igmp().stats().reports_sent, 2u);
+  EXPECT_EQ(net.a.igmp().stats().reports_sent, 2u);
 }
 
 TEST(IgmpHostSide, LeaveSendsLeaveWhenLastReporter) {
-  McastPair net;
-  net.a->igmp().join(kGroup);
-  net.a->igmp().leave(kGroup);
-  EXPECT_EQ(net.a->igmp().stats().leaves_sent, 1u);
-  EXPECT_FALSE(net.a->igmp().is_member(kGroup));
+  HostPair net({.name = "a"}, {.name = "b"});
+  net.a.igmp().join(kGroup);
+  net.a.igmp().leave(kGroup);
+  EXPECT_EQ(net.a.igmp().stats().leaves_sent, 1u);
+  EXPECT_FALSE(net.a.igmp().is_member(kGroup));
   // Leaving a group we never joined: silent.
-  net.a->igmp().leave(kGroup);
-  EXPECT_EQ(net.a->igmp().stats().leaves_sent, 1u);
+  net.a.igmp().leave(kGroup);
+  EXPECT_EQ(net.a.igmp().stats().leaves_sent, 1u);
 }
 
 TEST(IgmpHostSide, QueryTriggersDelayedReport) {
-  McastPair net;
-  net.b->igmp().join(kGroup);
-  net.settle();
-  const auto reports_before = net.b->igmp().stats().reports_sent;
+  HostPair net({.name = "a"}, {.name = "b"});
+  net.b.igmp().join(kGroup);
+  net.settle(6);
+  const auto reports_before = net.b.igmp().stats().reports_sent;
 
   // Host A plays router: general query to all-hosts.
   std::uint8_t bytes[kIgmpLen];
@@ -114,24 +88,24 @@ TEST(IgmpHostSide, QueryTriggersDelayedReport) {
   query.max_resp_deciseconds = 20;  // 2 s window
   query.group = 0;
   write_igmp(query, bytes);
-  buf::Packet pkt = buf::Packet::from_bytes(net.a->pool(), bytes);
-  net.a->ip().output(std::move(pkt), kAllHostsGroup, wire::IpProto::kIgmp, 1);
-  net.settle();
-  EXPECT_EQ(net.b->igmp().stats().queries_heard, 1u);
+  buf::Packet pkt = buf::Packet::from_bytes(net.a.pool(), bytes);
+  net.a.ip().output(std::move(pkt), kAllHostsGroup, wire::IpProto::kIgmp, 1);
+  net.settle(6);
+  EXPECT_EQ(net.b.igmp().stats().queries_heard, 1u);
 
   // Within the response window, the report fires.
   for (int i = 0; i < 25; ++i) {
-    net.b->advance(0.1);
+    net.b.advance(0.1);
     net.settle(1);
   }
-  EXPECT_GT(net.b->igmp().stats().reports_sent, reports_before);
+  EXPECT_GT(net.b.igmp().stats().reports_sent, reports_before);
 }
 
 TEST(IgmpHostSide, ReportSuppression) {
-  McastPair net;
-  net.a->igmp().join(kGroup);
-  net.b->igmp().join(kGroup);
-  net.settle();
+  HostPair net({.name = "a"}, {.name = "b"});
+  net.a.igmp().join(kGroup);
+  net.b.igmp().join(kGroup);
+  net.settle(6);
 
   // Query both; whoever fires first suppresses the other.
   std::uint8_t bytes[kIgmpLen];
@@ -139,50 +113,46 @@ TEST(IgmpHostSide, ReportSuppression) {
   query.type = IgmpType::kQuery;
   query.max_resp_deciseconds = 50;
   write_igmp(query, bytes);
-  for (Host* h : {net.a.get(), net.b.get()}) {
+  for (Host* h : {&net.a, &net.b}) {
     buf::Packet pkt = buf::Packet::from_bytes(h->pool(), bytes);
     // Inject locally as though a router on the wire queried everyone.
     h->ip().output(std::move(pkt), kAllHostsGroup, wire::IpProto::kIgmp, 1);
   }
-  net.settle();
-  for (int i = 0; i < 60; ++i) {
-    net.a->advance(0.1);
-    net.b->advance(0.1);
-    net.settle(1);
-  }
+  net.settle(6);
+  for (int i = 0; i < 60; ++i) net.tick(0.1, 1);
   const auto suppressed =
-      net.a->igmp().stats().suppressed + net.b->igmp().stats().suppressed;
+      net.a.igmp().stats().suppressed + net.b.igmp().stats().suppressed;
   EXPECT_GE(suppressed, 1u);
 }
 
 TEST(IgmpHostSide, MulticastDeliveryFollowsMembership) {
-  McastPair net;
-  const SocketId sock = net.b->sockets().create(SocketKind::kDatagram);
-  ASSERT_TRUE(net.b->udp().bind(6000, sock));
+  HostPair net({.name = "a"}, {.name = "b"});
+  const SocketId sock = net.b.sockets().create(SocketKind::kDatagram);
+  ASSERT_TRUE(net.b.udp().bind(6000, sock));
 
   auto send_to_group = [&] {
     const std::vector<std::uint8_t> payload{'m', 'c'};
-    net.a->udp().send(6001, kGroup, 6000, payload);
-    net.settle();
+    net.a.udp().send(6001, kGroup, 6000, payload);
+    net.settle(6);
   };
 
   // Not a member: the datagram is filtered at IP.
   send_to_group();
-  EXPECT_EQ(net.b->sockets().pending_datagrams(sock), 0u);
-  EXPECT_GE(net.b->ip().ip_stats().rx_not_mine, 1u);
+  EXPECT_EQ(net.b.sockets().pending_datagrams(sock), 0u);
+  EXPECT_GE(net.b.ip().ip_stats().rx_not_mine, 1u);
 
   // Join, then the same datagram is delivered.
-  net.b->igmp().join(kGroup);
-  net.settle();
+  net.b.igmp().join(kGroup);
+  net.settle(6);
   send_to_group();
-  EXPECT_EQ(net.b->sockets().pending_datagrams(sock), 1u);
-  EXPECT_GE(net.b->ip().ip_stats().rx_multicast, 1u);
+  EXPECT_EQ(net.b.sockets().pending_datagrams(sock), 1u);
+  EXPECT_GE(net.b.ip().ip_stats().rx_multicast, 1u);
 
   // Leave again: filtered again.
-  net.b->igmp().leave(kGroup);
-  net.settle();
+  net.b.igmp().leave(kGroup);
+  net.settle(6);
   send_to_group();
-  EXPECT_EQ(net.b->sockets().pending_datagrams(sock), 1u);
+  EXPECT_EQ(net.b.sockets().pending_datagrams(sock), 1u);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@
 #include "recover/convergence.hpp"
 #include "recover/partition_heal.hpp"
 #include "recover/watchdog.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "wire/ipv4.hpp"
 
 #ifndef LDLP_GOLDEN_DIR
@@ -505,27 +505,16 @@ TEST(ObsBenchResult, CompareRule) {
 // ----------------------------------------------------------------- bridge
 
 TEST(ObsBridge, PublishHostIsIdempotent) {
-  stack::HostConfig ca;
-  ca.name = "a";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb = ca;
-  cb.name = "b";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  stack::Host a(ca);
-  stack::Host b(cb);
-  stack::NetDevice::connect(a.device(), b.device());
+  stack::HostPair net({.name = "a"}, {.name = "b"});
+  stack::Host& a = net.a;
+  stack::Host& b = net.b;
 
   const auto sock = b.sockets().create(stack::SocketKind::kDatagram, 4096);
   ASSERT_TRUE(b.udp().bind(9, sock));
   const std::vector<std::uint8_t> payload(64, 0xab);
   for (int round = 0; round < 4; ++round) {
-    a.udp().send(9, cb.ip, 9, payload);
-    a.pump();
-    b.pump();
-    a.pump();
-    b.pump();
+    a.udp().send(9, b.ip().ip_addr(), 9, payload);
+    net.settle(2);
   }
 
   obs::Registry reg;

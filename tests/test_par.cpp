@@ -9,7 +9,7 @@
 #include "par/shard_engine.hpp"
 #include "par/worker_pool.hpp"
 #include "sim/machine.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "stack/netdev.hpp"
 #include "wire/ethernet.hpp"
 #include "wire/ipv4.hpp"
@@ -300,29 +300,18 @@ TEST(ShardedRx, CoalescingRefillsBatches) {
 /// queues. The handshake and data segments of one flow must all land on
 /// the same shard, so the stack behaves exactly as with one queue.
 TEST(HostMultiQueue, TcpDataFlowsThroughShardedReceive) {
-  stack::HostConfig ca;
-  ca.name = "tx";
-  ca.mac = {2, 0, 0, 0, 0, 1};
-  ca.ip = wire::ip_from_parts(10, 0, 0, 1);
-  stack::HostConfig cb;
-  cb.name = "rx";
-  cb.mac = {2, 0, 0, 0, 0, 2};
-  cb.ip = wire::ip_from_parts(10, 0, 0, 2);
-  cb.mode = core::SchedMode::kLdlp;
-  cb.rx_queues = 2;
-  stack::Host tx(ca);
-  stack::Host rx(cb);
-  stack::NetDevice::connect(tx.device(), rx.device());
+  stack::HostPair net(
+      {.name = "tx"},
+      {.name = "rx", .mode = core::SchedMode::kLdlp, .rx_queues = 2});
+  stack::Host& tx = net.a;
+  stack::Host& rx = net.b;
   ASSERT_EQ(rx.device().rx_queue_count(), 2u);
 
   (void)rx.tcp().listen(80);
   stack::PcbId accepted = stack::kNoPcb;
   rx.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
-  const stack::PcbId conn = tx.tcp().connect(cb.ip, 80);
-  for (int i = 0; i < 8; ++i) {
-    tx.pump();
-    rx.pump();
-  }
+  const stack::PcbId conn = tx.tcp().connect(rx.ip().ip_addr(), 80);
+  net.settle(8);
   ASSERT_EQ(tx.tcp().state(conn), stack::TcpState::kEstablished);
   ASSERT_NE(accepted, stack::kNoPcb);
 

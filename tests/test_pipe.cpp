@@ -30,7 +30,7 @@
 #include "pipe/pipeline.hpp"
 #include "pipe/stage_engine.hpp"
 #include "sim/machine.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
 #include "wire/checksum.hpp"
@@ -40,25 +40,11 @@ namespace {
 
 using wire::ip_from_parts;
 
-struct Pair {
-  stack::HostConfig ca;
-  stack::HostConfig cb;
-  std::unique_ptr<stack::Host> tx;
-  std::unique_ptr<stack::Host> rx;
-
-  Pair() {
-    ca.name = "tx";
-    ca.mac = {2, 0, 0, 0, 0, 1};
-    ca.ip = ip_from_parts(10, 0, 0, 1);
-    cb.name = "rx";
-    cb.mac = {2, 0, 0, 0, 0, 2};
-    cb.ip = ip_from_parts(10, 0, 0, 2);
-    cb.mode = core::SchedMode::kLdlp;  // StagedRx schedules the graph.
-    tx = std::make_unique<stack::Host>(ca);
-    rx = std::make_unique<stack::Host>(cb);
-    stack::NetDevice::connect(tx->device(), rx->device());
-  }
-};
+/// a ("tx") sends to b ("rx"), which runs under LDLP because StagedRx
+/// schedules its graph.
+const stack::HostConfig kTx{.name = "tx"};
+const stack::HostConfig kRx{.name = "rx", .mode = core::SchedMode::kLdlp};
+const std::uint32_t kRxIp = ip_from_parts(10, 0, 0, 2);
 
 // Flow f sends datagrams from port 9001+f; payload byte 0 is the flow,
 // byte 1 the sequence number. Every 7th send is duplicated at the source
@@ -72,9 +58,9 @@ constexpr int kRounds = 48;
 std::map<int, std::vector<int>> adversarial_run(
     const pipe::RxMode* staged_mode, par::WorkerPool* pool = nullptr,
     pipe::StagedRx** staged_out = nullptr,
-    std::unique_ptr<Pair>* keep = nullptr) {
-  auto net = std::make_unique<Pair>();
-  net->rx->device().set_reorder(0.3, 0xdead);
+    std::unique_ptr<stack::HostPair>* keep = nullptr) {
+  auto net = std::make_unique<stack::HostPair>(kTx, kRx);
+  net->b.device().set_reorder(0.3, 0xdead);
 
   std::unique_ptr<pipe::StagedRx> staged;
   if (staged_mode != nullptr) {
@@ -82,50 +68,50 @@ std::map<int, std::vector<int>> adversarial_run(
     pc.mode = *staged_mode;
     pc.lanes = 2;
     pc.batch_limit = 4;
-    staged = std::make_unique<pipe::StagedRx>(*net->rx, pc);
+    staged = std::make_unique<pipe::StagedRx>(net->b, pc);
   }
   const auto pump_rx = [&] {
     if (staged)
       (void)staged->pump(SIZE_MAX, pool);
     else
-      net->rx->pump();
+      net->b.pump();
   };
 
   const stack::SocketId sock =
-      net->rx->sockets().create(stack::SocketKind::kDatagram);
-  EXPECT_TRUE(net->rx->udp().bind(9000, sock));
+      net->b.sockets().create(stack::SocketKind::kDatagram);
+  EXPECT_TRUE(net->b.udp().bind(9000, sock));
 
   // Resolve ARP before the measured flood so nothing parks.
   std::uint8_t warm[2] = {0xff, 0xff};
-  net->tx->udp().send(9001, net->cb.ip, 9000, warm);
+  net->a.udp().send(9001, kRxIp, 9000, warm);
   for (int i = 0; i < 6; ++i) {
-    net->tx->pump();
+    net->a.pump();
     pump_rx();
   }
-  (void)net->rx->sockets().read_datagram(sock);
+  (void)net->b.sockets().read_datagram(sock);
 
   for (int r = 0; r < kRounds; ++r) {
     for (int f = 0; f < kFlows; ++f) {
       const std::uint8_t payload[2] = {static_cast<std::uint8_t>(f),
                                        static_cast<std::uint8_t>(r)};
-      net->tx->udp().send(static_cast<std::uint16_t>(9001 + f), net->cb.ip,
-                          9000, payload);
+      net->a.udp().send(static_cast<std::uint16_t>(9001 + f), kRxIp, 9000,
+                        payload);
       if ((r + f) % 7 == 0)  // source-duplicated frame
-        net->tx->udp().send(static_cast<std::uint16_t>(9001 + f), net->cb.ip,
-                            9000, payload);
+        net->a.udp().send(static_cast<std::uint16_t>(9001 + f), kRxIp, 9000,
+                          payload);
     }
     if (r % 4 == 3) {
-      net->tx->pump();
+      net->a.pump();
       pump_rx();
     }
   }
   for (int i = 0; i < 4; ++i) {
-    net->tx->pump();
+    net->a.pump();
     pump_rx();
   }
 
   std::map<int, std::vector<int>> delivered;
-  while (auto dgram = net->rx->sockets().read_datagram(sock)) {
+  while (auto dgram = net->b.sockets().read_datagram(sock)) {
     EXPECT_EQ(dgram->payload.size(), 2u) << "foreign datagram";
     delivered[dgram->payload[0]].push_back(dgram->payload[1]);
   }
@@ -161,28 +147,28 @@ TEST(Jobs, ParallelClassifyIsBitIdentical) {
 }
 
 TEST(BoundedQueue, TinyCapsDropAndConserve) {
-  Pair net;
+  stack::HostPair net(kTx, kRx);
   pipe::PipelineConfig pc;
   pc.mode = pipe::RxMode::kPipelined;
   pc.lanes = 1;
   pc.stage_queue_cap = 4;
-  pipe::StagedRx staged(*net.rx, pc);
+  pipe::StagedRx staged(net.b, pc);
 
   const stack::SocketId sock =
-      net.rx->sockets().create(stack::SocketKind::kDatagram);
-  ASSERT_TRUE(net.rx->udp().bind(9000, sock));
+      net.b.sockets().create(stack::SocketKind::kDatagram);
+  ASSERT_TRUE(net.b.udp().bind(9000, sock));
   std::uint8_t payload[8] = {};
-  net.tx->udp().send(9001, net.cb.ip, 9000, payload);
+  net.a.udp().send(9001, kRxIp, 9000, payload);
   for (int i = 0; i < 6; ++i) {
-    net.tx->pump();
+    net.a.pump();
     (void)staged.pump();
   }
 
   // A 64-frame burst against a 4-deep parse queue: the pull loop offers
   // every pending frame before the stages run, so most must drop there.
   for (int i = 0; i < 64; ++i)
-    net.tx->udp().send(9001, net.cb.ip, 9000, payload);
-  net.tx->pump();
+    net.a.udp().send(9001, kRxIp, 9000, payload);
+  net.a.pump();
   (void)staged.pump();
 
   const pipe::StageCounters parse = staged.counters(pipe::Stage::kParse);
@@ -193,7 +179,7 @@ TEST(BoundedQueue, TinyCapsDropAndConserve) {
   EXPECT_TRUE(staged.audit().empty());
 
   // Dropped chains went back to the pool: nothing may leak.
-  EXPECT_EQ(net.rx->pool().stats().mbufs_outstanding(), 0u);
+  EXPECT_EQ(net.b.pool().stats().mbufs_outstanding(), 0u);
 }
 
 TEST(ThreeModes, TcpTransferByteIdentical) {
@@ -207,35 +193,35 @@ TEST(ThreeModes, TcpTransferByteIdentical) {
   std::vector<std::uint8_t> first;
   for (const pipe::RxMode mode :
        {pipe::RxMode::kLdlp, pipe::RxMode::kPipelined, pipe::RxMode::kHybrid}) {
-    Pair net;
+    stack::HostPair net(kTx, kRx);
     pipe::PipelineConfig pc;
     pc.mode = mode;
     pc.lanes = 2;
     pc.batch_limit = 4;
-    pipe::StagedRx staged(*net.rx, pc);
+    pipe::StagedRx staged(net.b, pc);
 
-    (void)net.rx->tcp().listen(80);
+    (void)net.b.tcp().listen(80);
     stack::PcbId accepted = stack::kNoPcb;
-    net.rx->tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
-    const stack::PcbId conn = net.tx->tcp().connect(net.cb.ip, 80);
+    net.b.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
+    const stack::PcbId conn = net.a.tcp().connect(kRxIp, 80);
     for (int i = 0; i < 8; ++i) {
-      net.tx->pump();
+      net.a.pump();
       (void)staged.pump();
     }
-    ASSERT_EQ(net.tx->tcp().state(conn), stack::TcpState::kEstablished)
+    ASSERT_EQ(net.a.tcp().state(conn), stack::TcpState::kEstablished)
         << pipe::rx_mode_name(mode);
 
     std::vector<std::uint8_t> got;
     std::vector<std::uint8_t> buf(4096);
-    const stack::SocketId sock = net.rx->tcp().socket_of(accepted);
+    const stack::SocketId sock = net.b.tcp().socket_of(accepted);
     for (int seg = 0; seg < 8; ++seg) {
-      ASSERT_TRUE(net.tx->tcp().send(conn, chunk));
-      net.tx->pump();
+      ASSERT_TRUE(net.a.tcp().send(conn, chunk));
+      net.a.pump();
       (void)staged.pump();
-      const std::size_t n = net.rx->sockets().read(sock, buf);
+      const std::size_t n = net.b.sockets().read(sock, buf);
       got.insert(got.end(), buf.begin(),
                  buf.begin() + static_cast<std::ptrdiff_t>(n));
-      net.tx->pump();  // absorb the ACK
+      net.a.pump();  // absorb the ACK
     }
     ASSERT_EQ(got.size(), chunk.size() * 8) << pipe::rx_mode_name(mode);
     EXPECT_TRUE(staged.audit().empty());
@@ -250,23 +236,23 @@ TEST(ThreeModes, TcpTransferByteIdentical) {
 }
 
 TEST(Auditor, StageQueuesJoinTheHostAudit) {
-  Pair net;
+  stack::HostPair net(kTx, kRx);
   pipe::PipelineConfig pc;
   pc.mode = pipe::RxMode::kHybrid;
   pc.lanes = 2;
   pc.batch_limit = 4;
-  pipe::StagedRx staged(*net.rx, pc);
-  check::HostAuditor auditor(*net.rx, "rx");
+  pipe::StagedRx staged(net.b, pc);
+  check::HostAuditor auditor(net.b, "rx");
   auditor.add_audit([&] { return staged.audit(); });
   auditor.install();
 
   const stack::SocketId sock =
-      net.rx->sockets().create(stack::SocketKind::kDatagram);
-  ASSERT_TRUE(net.rx->udp().bind(9000, sock));
+      net.b.sockets().create(stack::SocketKind::kDatagram);
+  ASSERT_TRUE(net.b.udp().bind(9000, sock));
   std::uint8_t payload[16] = {};
   for (int r = 0; r < 12; ++r) {
-    net.tx->udp().send(9001, net.cb.ip, 9000, payload);
-    net.tx->pump();
+    net.a.udp().send(9001, kRxIp, 9000, payload);
+    net.a.pump();
     (void)staged.pump();
   }
   auditor.on_pass();
@@ -278,30 +264,30 @@ TEST(Publish, PerStageCountersLandInTheRegistry) {
   // TCP stream traffic, so the socket *layer* sees graph messages and the
   // socket stage's counters move (UDP hands datagrams to the socket layer
   // directly, bypassing its queue).
-  Pair net;
+  stack::HostPair net(kTx, kRx);
   pipe::PipelineConfig pc;
   pc.mode = pipe::RxMode::kPipelined;
   pc.lanes = 2;
-  pipe::StagedRx staged(*net.rx, pc);
+  pipe::StagedRx staged(net.b, pc);
 
-  (void)net.rx->tcp().listen(80);
+  (void)net.b.tcp().listen(80);
   stack::PcbId accepted = stack::kNoPcb;
-  net.rx->tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
-  const stack::PcbId conn = net.tx->tcp().connect(net.cb.ip, 80);
+  net.b.tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
+  const stack::PcbId conn = net.a.tcp().connect(kRxIp, 80);
   for (int i = 0; i < 8; ++i) {
-    net.tx->pump();
+    net.a.pump();
     (void)staged.pump();
   }
-  ASSERT_EQ(net.tx->tcp().state(conn), stack::TcpState::kEstablished);
+  ASSERT_EQ(net.a.tcp().state(conn), stack::TcpState::kEstablished);
   const std::vector<std::uint8_t> payload(128, 0x5a);
   std::vector<std::uint8_t> sink(1024);
-  const stack::SocketId sock = net.rx->tcp().socket_of(accepted);
+  const stack::SocketId sock = net.b.tcp().socket_of(accepted);
   for (int seg = 0; seg < 4; ++seg) {
-    ASSERT_TRUE(net.tx->tcp().send(conn, payload));
-    net.tx->pump();
+    ASSERT_TRUE(net.a.tcp().send(conn, payload));
+    net.a.pump();
     (void)staged.pump();
-    (void)net.rx->sockets().read(sock, sink);
-    net.tx->pump();
+    (void)net.b.sockets().read(sock, sink);
+    net.a.pump();
   }
 
   obs::Registry registry;

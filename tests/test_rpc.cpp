@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "rpc/nfs_lite.hpp"
+#include "stack/host_pair.hpp"
 
 namespace ldlp::rpc {
 namespace {
@@ -174,35 +175,24 @@ TEST(MemFs, ReaddirListsSorted) {
 
 // ---- End-to-end fixture -----------------------------------------------------
 
-struct NfsNet {
-  stack::HostConfig client_cfg;
-  stack::HostConfig server_cfg;
-  std::unique_ptr<stack::Host> client_host;
-  std::unique_ptr<stack::Host> server_host;
+struct NfsNet : stack::HostPair {
+  stack::Host& client_host = a;
+  stack::Host& server_host = b;
   std::unique_ptr<NfsServer> server;
   std::unique_ptr<NfsClient> client;
 
-  explicit NfsNet(core::SchedMode mode = core::SchedMode::kConventional) {
-    client_cfg.name = "nfsc";
-    client_cfg.mac = {2, 0, 0, 0, 0, 1};
-    client_cfg.ip = ip_from_parts(10, 0, 0, 1);
-    client_cfg.mode = mode;
-    server_cfg.name = "nfsd";
-    server_cfg.mac = {2, 0, 0, 0, 0, 2};
-    server_cfg.ip = ip_from_parts(10, 0, 0, 2);
-    server_cfg.mode = mode;
-    client_host = std::make_unique<stack::Host>(client_cfg);
-    server_host = std::make_unique<stack::Host>(server_cfg);
-    stack::NetDevice::connect(client_host->device(), server_host->device());
-    server = std::make_unique<NfsServer>(*server_host);
+  explicit NfsNet(core::SchedMode mode = core::SchedMode::kConventional)
+      : HostPair({.name = "nfsc", .mode = mode},
+                 {.name = "nfsd", .mode = mode}) {
+    server = std::make_unique<NfsServer>(server_host);
     NfsClient::Config cfg;
-    cfg.server_ip = server_cfg.ip;
-    client = std::make_unique<NfsClient>(*client_host, cfg, [this] {
-      client_host->pump();
-      server_host->pump();
+    cfg.server_ip = server_host.ip().ip_addr();
+    client = std::make_unique<NfsClient>(client_host, cfg, [this] {
+      client_host.pump();
+      server_host.pump();
       server->poll();
-      server_host->pump();
-      client_host->pump();
+      server_host.pump();
+      client_host.pump();
     });
   }
 };
@@ -258,8 +248,8 @@ TEST(NfsEndToEnd, RetryAndDupCacheUnderLoss) {
   NfsNet net;
   // Lose the first copy of everything toward the server once in a while;
   // at-least-once retry plus the duplicate cache keep semantics exact.
-  net.server_host->device().set_loss(0.4, 17);
-  net.client_host->device().set_loss(0.4, 19);
+  net.server_host.device().set_loss(0.4, 17);
+  net.client_host.device().set_loss(0.4, 19);
   const auto fh = net.client->create(kRootHandle, "lossy.txt");
   ASSERT_TRUE(fh.has_value());
   std::vector<std::uint8_t> content(512, 0x3c);

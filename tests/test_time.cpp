@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -36,15 +35,14 @@
 #include "overlay/gossip_sim.hpp"
 #include "overlay/overlay.hpp"
 #include "rpc/fanout.hpp"
-#include "stack/host.hpp"
+#include "stack/host_pair.hpp"
 #include "time/timer_wheel.hpp"
 
 namespace ldlp {
 namespace {
 
 using stack::Host;
-using stack::HostConfig;
-using stack::NetDevice;
+using stack::HostPair;
 using time::TimerClass;
 using time::TimerWheel;
 using wire::ip_from_parts;
@@ -353,25 +351,15 @@ fault::FaultPlan storm_plan() {
 }
 
 /// Two directly-cabled hosts; the client carries the storm injector.
-struct StormPair {
-  std::unique_ptr<Host> client;
-  std::unique_ptr<Host> server;
+struct StormPair : HostPair {
   fault::FaultInjector storm{storm_plan(), 1};
 
-  StormPair() {
-    HostConfig cc;
-    cc.name = "client";
-    cc.mac = {2, 0, 0, 0, 0, 1};
-    cc.ip = ip_from_parts(10, 0, 0, 1);
-    HostConfig cs = cc;
-    cs.name = "server";
-    cs.mac = {2, 0, 0, 0, 0, 2};
-    cs.ip = ip_from_parts(10, 0, 0, 2);
-    client = std::make_unique<Host>(cc);
-    server = std::make_unique<Host>(cs);
-    NetDevice::connect(client->device(), server->device());
-    client->attach_fault(&storm);
+  StormPair() : HostPair({.name = "client"}, {.name = "server"}) {
+    client.attach_fault(&storm);
   }
+
+  Host& client = a;
+  Host& server = b;
 };
 
 /// Gaps must follow the documented ladder: each one doubles the last up
@@ -396,30 +384,27 @@ std::vector<double> diffs(const std::vector<double>& ts) {
 
 TEST(BackoffCaps, TcpRtoDoublesToCapUnderStorm) {
   StormPair net;
-  (void)net.server->tcp().listen(80);
+  (void)net.server.tcp().listen(80);
   const stack::PcbId conn =
-      net.client->tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
-  for (int i = 0; i < 12; ++i) {
-    net.client->pump();
-    net.server->pump();
-  }
-  ASSERT_EQ(net.client->tcp().state(conn), stack::TcpState::kEstablished);
+      net.client.tcp().connect(ip_from_parts(10, 0, 0, 2), 80);
+  net.settle(12);
+  ASSERT_EQ(net.client.tcp().state(conn), stack::TcpState::kEstablished);
 
   // Send, then silence the server: only the client's clock moves, so the
   // segment retransmits up the ladder with no ACK ever coming back.
   const std::vector<std::uint8_t> data = {'p', 'i', 'n', 'g'};
-  ASSERT_TRUE(net.client->tcp().send(conn, data));
+  ASSERT_TRUE(net.client.tcp().send(conn, data));
   std::set<double> rtos;
   std::vector<double> change_at;
   double last_rto = 0.0;
   for (double t = 0.0; t < 60.0; t += 0.01) {
-    net.client->advance(0.01);
-    net.client->pump();
-    if (net.client->tcp().state(conn) == stack::TcpState::kClosed) break;
-    const double rto = net.client->tcp().pcb_view(conn).rto_sec;
+    net.client.advance(0.01);
+    net.client.pump();
+    if (net.client.tcp().state(conn) == stack::TcpState::kClosed) break;
+    const double rto = net.client.tcp().pcb_view(conn).rto_sec;
     rtos.insert(rto);
     if (rto != last_rto) {
-      change_at.push_back(net.client->now());
+      change_at.push_back(net.client.now());
       last_rto = rto;
     }
   }
@@ -433,29 +418,29 @@ TEST(BackoffCaps, TcpRtoDoublesToCapUnderStorm) {
   // later change is a retransmit, spaced by the RTO it doubled from.
   const std::vector<double> gaps = diffs(change_at);
   expect_doubling(gaps, 0.5, 8.0);
-  EXPECT_GT(net.client->wheel().stats().spurious_fires, 0u);
+  EXPECT_GT(net.client.wheel().stats().spurious_fires, 0u);
 }
 
 TEST(BackoffCaps, ArpRetryDoublesToCapThenFails) {
   StormPair net;
   // 10.0.0.3 does not exist: the datagram parks on ARP forever.
   const std::vector<std::uint8_t> payload = {'x'};
-  net.client->udp().send(4000, ip_from_parts(10, 0, 0, 3), 4000, payload);
+  net.client.udp().send(4000, ip_from_parts(10, 0, 0, 3), 4000, payload);
   std::vector<double> deadlines;
   double last = -1.0;
   for (double t = 0.0; t < 20.0; t += 0.01) {
-    net.client->advance(0.01);
-    net.client->pump();
-    const double d = net.client->eth().arp().next_retry_deadline();
+    net.client.advance(0.01);
+    net.client.pump();
+    const double d = net.client.eth().arp().next_retry_deadline();
     if (std::isfinite(d) && d != last) {
       deadlines.push_back(d);
       last = d;
     }
   }
-  const stack::ArpCacheStats& st = net.client->eth().arp().stats();
+  const stack::ArpCacheStats& st = net.client.eth().arp().stats();
   EXPECT_EQ(st.retries, 5u);  // kMaxTries, then give up
   EXPECT_EQ(st.resolve_failures, 1u);
-  EXPECT_FALSE(std::isfinite(net.client->eth().arp().next_retry_deadline()));
+  EXPECT_FALSE(std::isfinite(net.client.eth().arp().next_retry_deadline()));
   // First retry 0.5s after the park; gaps double to the 4s cap.
   ASSERT_GE(deadlines.size(), 3u);
   EXPECT_NEAR(deadlines[0], 0.5, 0.06);
@@ -466,12 +451,12 @@ TEST(BackoffCaps, DnsRetryDoublesToCapThenFailsUnderStorm) {
   StormPair net;
   dns::DnsResolver::Config cfg;
   cfg.server_ip = ip_from_parts(10, 0, 0, 2);  // answers ARP, no DNS server
-  dns::DnsResolver resolver(*net.client, cfg);
+  dns::DnsResolver resolver(net.client, cfg);
   std::vector<double> sends;
-  net.client->udp().set_send_tap(
+  net.client.udp().set_send_tap(
       [&](std::uint16_t, std::uint32_t, std::uint16_t dst_port,
           std::span<const std::uint8_t>) {
-        if (dst_port == dns::kDnsPort) sends.push_back(net.client->now());
+        if (dst_port == dns::kDnsPort) sends.push_back(net.client.now());
       });
   bool fired = false;
   std::optional<std::uint32_t> answer = 1;  // sentinel: must become nullopt
@@ -481,10 +466,7 @@ TEST(BackoffCaps, DnsRetryDoublesToCapThenFailsUnderStorm) {
                      answer = a;
                    });
   for (double t = 0.0; t < 10.0 && !fired; t += 0.01) {
-    net.client->advance(0.01);
-    net.server->advance(0.01);
-    net.client->pump();
-    net.server->pump();
+    net.tick(0.01, 1);
     resolver.poll();
   }
   ASSERT_TRUE(fired);
@@ -499,22 +481,19 @@ TEST(BackoffCaps, RpcLegRtoDoublesToCapUnderStorm) {
   StormPair net;
   rpc::FanoutConfig cfg;  // UDP transport; 10.0.0.2 answers ARP, no server
   obs::Histogram latency(1e-6, 100.0, 10);
-  rpc::FanoutClient fc(*net.client, {ip_from_parts(10, 0, 0, 2)}, cfg,
+  rpc::FanoutClient fc(net.client, {ip_from_parts(10, 0, 0, 2)}, cfg,
                        latency);
   std::vector<double> sends;
-  net.client->udp().set_send_tap(
+  net.client.udp().set_send_tap(
       [&](std::uint16_t src_port, std::uint32_t, std::uint16_t,
           std::span<const std::uint8_t>) {
-        if (src_port == cfg.client_port) sends.push_back(net.client->now());
+        if (src_port == cfg.client_port) sends.push_back(net.client.now());
       });
   fc.start(0.0, 0.0);
   double t = 0.0;
   while (t < 16.0 && sends.size() < 7) {
     t += 0.01;
-    net.client->advance(0.01);
-    net.server->advance(0.01);
-    net.client->pump();
-    net.server->pump();
+    net.tick(0.01, 1);
     fc.poll(t);
   }
   EXPECT_EQ(fc.outstanding(), 1u);  // never completed, never dropped
@@ -526,16 +505,13 @@ TEST(BackoffCaps, RpcLegRtoDoublesToCapUnderStorm) {
 TEST(BackoffCaps, OverlayProbeBackoffDoublesToCapUnderStorm) {
   StormPair net;
   overlay::OverlayConfig cfg;
-  overlay::OverlayNode a(*net.client, ip_from_parts(10, 0, 0, 1), cfg);
-  overlay::OverlayNode b(*net.server, ip_from_parts(10, 0, 0, 2), cfg);
+  overlay::OverlayNode a(net.client, ip_from_parts(10, 0, 0, 1), cfg);
+  overlay::OverlayNode b(net.server, ip_from_parts(10, 0, 0, 2), cfg);
   b.join(a.id(), 0.0);
   double t = 0.0;
   const auto step = [&](bool poll_b) {
     t += 0.01;
-    net.client->advance(0.01);
-    net.server->advance(0.01);
-    net.client->pump();
-    net.server->pump();
+    net.tick(0.01, 1);
     a.poll(t);
     if (poll_b) b.poll(t);
   };

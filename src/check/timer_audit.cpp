@@ -27,29 +27,37 @@ void TimerAuditor::on_pass() {
   last_virtual_ = host_.now();
   last_real_ = host_.real_now();
 
-  // Retransmit armed iff asserted wheel-side: data in flight means the
-  // PCB's consolidated timer is armed at or before rtx_deadline. (The
-  // HostAuditor already ties finite rtx_deadline to a non-empty rtx
-  // queue; this closes the loop to the wheel that actually fires it.)
+  // Every pending deadline is armed wheel-side: a PCB with a finite
+  // earliest deadline (retransmit, delayed ACK, persist, keepalive,
+  // TIME_WAIT, pool retry) has its consolidated timer armed at or before
+  // it. The wheel may wake the PCB early — pcb_timer re-checks and
+  // re-syncs — but a timer that is missing, stale or late means that
+  // deadline would pass unserved (the scan would have caught it; the
+  // wheel only fires what is armed).
   const time::TimerWheel& wheel = host_.wheel();
   stack::TcpLayer& tcp = host_.tcp();
   for (std::uint32_t id = 0; id < tcp.pcb_count(); ++id) {
     const stack::TcpPcb& p = tcp.pcb_view(id);
-    if (!std::isfinite(p.rtx_deadline)) continue;
+    const double due = tcp.earliest_deadline(p).first;
+    if (!std::isfinite(due)) continue;
     ++stats_.timers_checked;
-    const std::string who = label_ + " pcb " + std::to_string(id);
+    const auto flag = [&](const std::string& what) {
+      violation(label_ + " pcb " + std::to_string(id) + " (" +
+                std::string(stack::tcp_state_name(p.state)) + "): " + what);
+    };
     if (p.wheel_timer == time::kNoTimer) {
-      violation(who + ": data in flight but no wheel timer armed");
+      flag("deadline " + std::to_string(due) +
+           " pending but no wheel timer armed");
       continue;
     }
     const double armed_at = wheel.deadline_of(p.wheel_timer);
     if (!std::isfinite(armed_at))
-      violation(who + ": wheel handle " + std::to_string(p.wheel_timer) +
-                " is stale (rtx_deadline " +
-                std::to_string(p.rtx_deadline) + " would never fire)");
-    else if (armed_at > p.rtx_deadline)
-      violation(who + ": wheel armed at " + std::to_string(armed_at) +
-                " after rtx_deadline " + std::to_string(p.rtx_deadline));
+      flag("wheel handle " + std::to_string(p.wheel_timer) +
+           " is stale (deadline " + std::to_string(due) +
+           " would never fire)");
+    else if (armed_at > due)
+      flag("wheel armed at " + std::to_string(armed_at) +
+           " after earliest deadline " + std::to_string(due));
   }
 }
 

@@ -5,10 +5,13 @@
 // condemns bad *wheel* state — the places where the PR-10 migration from
 // per-pass scans to wheel-driven timers could silently rot:
 //
-//   * rtx armed iff asserted wheel-side — a PCB with data in flight must
-//     have its consolidated wheel timer armed no later than its
-//     rtx_deadline, or the retransmit would simply never fire (the scan
-//     would have caught it; the wheel only fires what is armed);
+//   * every deadline armed wheel-side — a PCB with any pending deadline
+//     (TcpLayer::earliest_deadline: retransmit, delayed ACK, persist,
+//     keepalive, TIME_WAIT, pool retry) must have its consolidated wheel
+//     timer armed no later than it, or that deadline would simply never
+//     be served (the scan would have caught it; the wheel only fires
+//     what is armed). Earlier is fine: sync_wheel keeps an earlier timer
+//     as a wake-up rather than re-arming it;
 //   * monotone clocks — a host's virtual clock (Host::now) and fabric
 //     clock (Host::real_now) never move backwards, even while kClockSkew
 //     / kClockStall episodes bend the virtual one;

@@ -954,8 +954,8 @@ std::pair<double, time::TimerClass> TcpLayer::earliest_deadline(
 void TcpLayer::sync_wheel(PcbId id) {
   TcpPcb& p = pcb(id);
   const auto [deadline, cls] = earliest_deadline(p);
-  p.wheel_timer = wheel_.rearm(p.wheel_timer, deadline, cls,
-                               [this, id] { pcb_timer(id); });
+  p.wheel_timer = wheel_.rearm_no_later(p.wheel_timer, deadline, cls,
+                                        [this, id] { pcb_timer(id); });
 }
 
 bool TcpLayer::audit(std::string* why) const {

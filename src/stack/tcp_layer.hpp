@@ -90,6 +90,11 @@ class TcpLayer final : public core::Layer {
   [[nodiscard]] const TcpPcbStats& pcb_stats(PcbId id) const;
   /// Read-only PCB view for invariant checkers and tests.
   [[nodiscard]] const TcpPcb& pcb_view(PcbId id) const { return pcb(id); }
+  /// Earliest pending deadline of `p` (+inf if none) and its class: the
+  /// time its wheel timer must fire by (check::TimerAuditor holds it to
+  /// that).
+  [[nodiscard]] std::pair<double, time::TimerClass> earliest_deadline(
+      const TcpPcb& p) const;
 
   /// Wire-tap on the send API: fires with exactly the bytes accepted into
   /// the send buffer by a successful send(). Conformance oracles record
@@ -157,13 +162,13 @@ class TcpLayer final : public core::Layer {
                 std::uint32_t seq, std::uint32_t ack, bool with_ack);
   void enter_established(PcbId id);
   void enter_time_wait(PcbId id);
-  /// Earliest pending deadline of `p` (+inf if none) and its class.
-  [[nodiscard]] std::pair<double, time::TimerClass> earliest_deadline(
-      const TcpPcb& p) const;
   /// Reconcile the PCB's consolidated wheel timer with its deadline
-  /// fields: cancel/arm so exactly the earliest pending deadline is
-  /// armed. Called from every entry point that can create or shorten a
-  /// deadline.
+  /// fields: keep a timer armed at or before the earliest pending
+  /// deadline (TimerWheel::rearm_no_later), arming one only when that
+  /// deadline moves earlier than the armed one or none is armed, and
+  /// cancelling it when nothing is pending. A timer kept from an earlier
+  /// deadline fires early into pcb_timer, whose guard re-syncs. Called
+  /// from every entry point that can create or shorten a deadline.
   void sync_wheel(PcbId id);
   /// RAII: sync_wheel on every exit path of process().
   struct WheelSync {

@@ -149,10 +149,10 @@ struct TcpPcb {
   std::uint32_t keep_probes_sent = 0;  ///< Unanswered keepalive probes.
 
   /// Consolidated time::TimerWheel handle (time::TimerId; kept as a raw
-  /// integer so this header stays dependency-free): armed at the PCB's
-  /// earliest pending deadline, 0 when nothing is pending. Owned by
-  /// TcpLayer::sync_wheel; check::TimerAuditor asserts it agrees with
-  /// the deadline fields above.
+  /// integer so this header stays dependency-free): armed at or before
+  /// the PCB's earliest pending deadline, 0 when nothing is pending.
+  /// Owned by TcpLayer::sync_wheel; check::TimerAuditor asserts it
+  /// fires no later than the deadline fields above.
   std::uint64_t wheel_timer = 0;
 
   TcpPcbStats stats;

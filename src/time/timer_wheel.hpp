@@ -25,6 +25,7 @@
 // it, which recover::DeadlineOracle must catch.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -104,7 +105,9 @@ class TimerWheel {
 
   /// Keep one timer at `deadline_sec`: returns `id` untouched when it is
   /// already armed there; otherwise cancels it and arms a fresh timer, or
-  /// nothing (returning kNoTimer) when the deadline is +inf.
+  /// nothing (returning kNoTimer) when the deadline is +inf. For a
+  /// callback that re-syncs its owner's deadlines when it fires, see
+  /// rearm_no_later().
   template <class Fn>
   [[nodiscard]] TimerId rearm(TimerId id, double deadline_sec, TimerClass cls,
                               Fn&& fn) {
@@ -113,6 +116,26 @@ class TimerWheel {
     if (node != nullptr) cancel(id);
     if (!std::isfinite(deadline_sec)) return kNoTimer;
     return arm(deadline_sec, cls, std::forward<Fn>(fn));
+  }
+
+  /// Keep one timer that fires no later than `deadline_sec`: a timer `id`
+  /// already armed at or before a finite deadline stays, taking the more
+  /// urgent of its class and `cls` (kLiveness before kCadence before
+  /// kExpiry); otherwise this is rearm(). For an owner whose callback
+  /// re-checks its own deadlines and re-syncs — an early wake-up costs
+  /// one pass, while a moving deadline costs no cancel and arm.
+  template <class Fn>
+  [[nodiscard]] TimerId rearm_no_later(TimerId id, double deadline_sec,
+                                       TimerClass cls, Fn&& fn) {
+    if (std::isfinite(deadline_sec)) {
+      if (const Node* node = resolve(id);
+          node != nullptr && node->deadline <= deadline_sec) {
+        Node& kept = nodes_[index_of(id)];
+        kept.cls = std::min(kept.cls, cls);
+        return id;
+      }
+    }
+    return rearm(id, deadline_sec, cls, std::forward<Fn>(fn));
   }
 
   [[nodiscard]] bool armed(TimerId id) const noexcept;

@@ -1,15 +1,19 @@
 // TCP behaviour tests: handshake, data transfer, header-prediction fast
 // path, delayed ACKs, loss recovery, out-of-order buffering, orderly and
-// abortive close, PCB demux (single-entry cache and hashed index), and
-// the connection lifecycle: PCB and socket slot recycling.
+// abortive close, the PCB's wheel timer (kept across later deadlines),
+// PCB demux (single-entry cache and hashed index), and the connection
+// lifecycle: PCB and socket slot recycling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/byteorder.hpp"
+#include "recover/deadline_oracle.hpp"
 #include "stack_testing.hpp"
 
 namespace ldlp::stack {
@@ -535,6 +539,129 @@ TEST(TcpClose, CloseFromSynSentCancelsTimers) {
   const auto arp_retries = net.client.eth().arp().stats().retries - arp_before;
   EXPECT_EQ(net.client.device().stats().tx_frames, tx_before + arp_retries);
   EXPECT_EQ(net.client.eth().arp().stats().resolve_failures, 1u);
+}
+
+// ---- The PCB's wheel timer ----------------------------------------------
+
+/// Client sends `request`, the server echoes `reply`, each side reads what
+/// it got; 10 us of virtual time per op, as in bench/e2e. True when both
+/// reads returned the whole message.
+bool request_reply(TcpPair& net, const std::vector<std::uint8_t>& request,
+                   const std::vector<std::uint8_t>& reply) {
+  if (!net.client.tcp().send(net.conn, request)) return false;
+  net.tick(10e-6, 2);
+  if (net.drain_server_socket(request.size() + 1) != request) return false;
+  if (!net.server.tcp().send(net.accepted, reply)) return false;
+  net.settle(2);
+  std::vector<std::uint8_t> got(reply.size() + 1);
+  got.resize(net.client.sockets().read(
+      net.client.tcp().socket_of(net.conn), got));
+  return got == reply;
+}
+
+TEST(TcpTimers, SteadyRequestReplyArmsAndCancelsAlmostNoTimers) {
+  // Each segment received sets a delayed-ACK deadline and each send a
+  // retransmit deadline; re-arming the PCB's timer for every one of them
+  // costs both hosts an arm and a cancel per segment, 4 + 4 per op. The
+  // PCB keeps its earlier timer instead, so over 2,000 ops (20 ms, under
+  // the 50 ms delayed-ACK timeout) neither wheel does any work.
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const std::vector<std::uint8_t> request(64, 'q');
+  const std::vector<std::uint8_t> reply(64, 'r');
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(request_reply(net, request, reply));
+  const time::WheelStats client_before = net.client.wheel().stats();
+  const time::WheelStats server_before = net.server.wheel().stats();
+  constexpr std::uint64_t kOps = 2000;
+  for (std::uint64_t i = 0; i < kOps; ++i)
+    ASSERT_TRUE(request_reply(net, request, reply)) << "op " << i;
+  for (const auto& [host, before] :
+       {std::pair{&net.client, client_before},
+        std::pair{&net.server, server_before}}) {
+    const time::WheelStats& after = host->wheel().stats();
+    EXPECT_LE((after.arms - before.arms) * 100, kOps)
+        << host->name() << " armed " << after.arms - before.arms
+        << " timers over " << kOps << " ops";
+    EXPECT_LE((after.cancels - before.cancels) * 100, kOps)
+        << host->name() << " cancelled " << after.cancels - before.cancels
+        << " timers over " << kOps << " ops";
+  }
+}
+
+/// The server has read a request and answered it, and the wire went dark
+/// both ways: the reply's retransmit deadline is pending, and the PCB's
+/// wheel timer is still the delayed-ACK timer the request armed.
+struct KeptTimerPair : TcpPair {
+  KeptTimerPair() {
+    established = establish();
+    (void)client.tcp().send(conn, std::vector<std::uint8_t>(64, 'q'));
+    settle();
+    delack_at = server.tcp().pcb_view(accepted).delack_deadline;
+    client.device().set_loss(1.0, 1);
+    server.device().set_loss(1.0, 2);
+    (void)drain_server_socket(65);
+    (void)server.tcp().send(accepted, std::vector<std::uint8_t>(64, 'r'));
+  }
+  [[nodiscard]] const TcpPcb& server_pcb() {
+    return server.tcp().pcb_view(accepted);
+  }
+
+  bool established = false;
+  double delack_at = 0.0;
+};
+
+TEST(TcpTimers, KeptDelayedAckTimerStillRetransmitsOnTheSameTick) {
+  KeptTimerPair net;
+  ASSERT_TRUE(net.established);
+  const TcpPcb& p = net.server_pcb();
+  time::TimerWheel& wheel = net.server.wheel();
+  // The reply carried the ACK (no delayed ACK left) and set a retransmit
+  // deadline; the earlier delayed-ACK timer stands in for it.
+  ASSERT_TRUE(std::isfinite(net.delack_at));
+  ASSERT_FALSE(std::isfinite(p.delack_deadline));
+  ASSERT_TRUE(std::isfinite(p.rtx_deadline));
+  ASSERT_LT(net.delack_at, p.rtx_deadline);
+  EXPECT_EQ(wheel.deadline_of(p.wheel_timer), net.delack_at);
+
+  // A timer armed at the retransmit deadline fires on the tick a PCB timer
+  // armed there would; the retransmission must leave on that same step.
+  int step = 0;
+  int probe_step = -1;
+  (void)wheel.arm(p.rtx_deadline, time::TimerClass::kCadence,
+                  [&] { probe_step = step; });
+  const std::uint64_t segs_before = p.stats.segs_out;
+  const std::uint64_t fires_before = wheel.stats().fires;
+  int rtx_step = -1;
+  for (; step < 1000 && rtx_step < 0; ++step) {
+    net.tick(1e-3, 1);
+    if (p.stats.retransmits > 0) rtx_step = step;
+  }
+  ASSERT_GE(probe_step, 0);
+  EXPECT_EQ(rtx_step, probe_step);
+  EXPECT_EQ(p.stats.retransmits, 1u);
+  // The early wake-up sent nothing: the one new segment is the
+  // retransmission. Three fires: the wake-up, the probe, the re-armed
+  // retransmit timer.
+  EXPECT_EQ(p.stats.segs_out, segs_before + 1);
+  EXPECT_EQ(wheel.stats().fires, fires_before + 3);
+}
+
+TEST(TcpTimers, ShedKeptTimerIsCaughtAsALivenessShed) {
+  // The kept timer took the retransmit deadline's liveness class, so the
+  // shed_guard mutation dropping it wedges the connection — and the
+  // deadline oracle must say so, as it would for the retransmit timer.
+  KeptTimerPair net;
+  ASSERT_TRUE(net.established);
+  recover::DeadlineOracle oracle;
+  oracle.attach(net.server);
+  net.server.wheel().config().shed_guard = false;
+  net.server.advance(1.0);  // clock-stall snap, far past both deadlines
+  EXPECT_EQ(net.server.wheel().stats().shed, 1u);
+  EXPECT_EQ(net.server_pcb().stats.retransmits, 0u);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.violations().front().find("liveness timer"),
+            std::string::npos)
+      << oracle.violations().front();
 }
 
 // ---- Demux index and connection lifecycle ------------------------------

@@ -187,6 +187,60 @@ TEST(Wheel, RearmKeepsAnUnchangedTimerAndDisarmsAtInfinity) {
             time::kNoTimer);
 }
 
+TEST(Wheel, RearmNoLaterKeepsAnEarlierTimerAndOnlyRaisesItsClass) {
+  TimerWheel w;
+  std::vector<time::TimerEvent> events;
+  w.set_observer([&](const time::TimerEvent& e) { events.push_back(e); });
+  const time::TimerId id =
+      w.rearm_no_later(time::kNoTimer, 0.5, TimerClass::kCadence, [] {});
+  ASSERT_TRUE(w.armed(id));
+
+  // A later or equal deadline keeps the armed timer, untouched on the
+  // wheel; only its class moves, and only toward kLiveness.
+  events.clear();
+  EXPECT_EQ(w.rearm_no_later(id, 0.5, TimerClass::kExpiry, [] {}), id);
+  EXPECT_EQ(w.rearm_no_later(id, 0.9, TimerClass::kLiveness, [] {}), id);
+  EXPECT_EQ(w.rearm_no_later(id, 0.7, TimerClass::kCadence, [] {}), id);
+  EXPECT_EQ(w.rearm_no_later(id, 0.8, TimerClass::kExpiry, [] {}), id);
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(w.deadline_of(id), 0.5);
+  EXPECT_EQ(w.stats().arms, 1u);
+
+  // An earlier deadline replaces it; the cancel shows the raised class.
+  const time::TimerId sooner =
+      w.rearm_no_later(id, 0.3, TimerClass::kExpiry, [] {});
+  EXPECT_NE(sooner, id);
+  EXPECT_FALSE(w.armed(id));
+  EXPECT_EQ(w.deadline_of(sooner), 0.3);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, time::TimerEvent::Kind::kCancel);
+  EXPECT_EQ(events[0].cls, TimerClass::kLiveness);
+  EXPECT_EQ(events[1].kind, time::TimerEvent::Kind::kArm);
+  EXPECT_EQ(events[1].cls, TimerClass::kExpiry);
+
+  // +inf cancels, even though an armed timer is "no later" than it.
+  events.clear();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(w.rearm_no_later(sooner, inf, TimerClass::kCadence, [] {}),
+            time::kNoTimer);
+  EXPECT_FALSE(w.armed(sooner));
+  EXPECT_EQ(w.armed_count(), 0u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, time::TimerEvent::Kind::kCancel);
+
+  // A fired timer is not kept: the stale id arms afresh.
+  int fired = 0;
+  const time::TimerId once =
+      w.rearm_no_later(time::kNoTimer, 1.0, TimerClass::kCadence,
+                       [&] { ++fired; });
+  w.advance_to(1.0);
+  EXPECT_EQ(fired, 1);
+  const time::TimerId again =
+      w.rearm_no_later(once, 2.0, TimerClass::kCadence, [&] { ++fired; });
+  EXPECT_NE(again, once);
+  EXPECT_EQ(w.deadline_of(again), 2.0);
+}
+
 /// Random arm/cancel/advance against a brute-force model of the live
 /// timers: next_deadline() is their minimum, each advance fires exactly
 /// the timers whose tick it reached in (deadline, arm order), and a

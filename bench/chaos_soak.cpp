@@ -56,6 +56,7 @@
 #include "check/oracle.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
+#include "check/timer_audit.hpp"
 #include "dns/resolver.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -112,12 +113,14 @@ struct SoakResult : check::Verdict {
 };
 
 /// The judges every scenario runs under: an invariant auditor per host,
-/// stepped by the host's post-pass hook, and the recovery oracles,
+/// stepped by the host's post-pass hook, and a timer auditor per host
+/// (every PCB deadline armed on the wheel) and the recovery oracles,
 /// stepped once per scheduler pass by on_pass(). Each host is tracked
 /// with its injector, so the liveness clocks only start once its faults
 /// have cleared.
 struct Supervision {
   std::vector<std::unique_ptr<check::HostAuditor>> auditors;
+  std::vector<std::unique_ptr<check::TimerAuditor>> timer_auditors;
   recover::ConvergenceOracle conv;
   recover::ProgressWatchdog dog;
 
@@ -128,11 +131,13 @@ struct Supervision {
   void supervise(stack::Host& host, fault::FaultInjector* injector) {
     auditors.push_back(std::make_unique<check::HostAuditor>(host));
     auditors.back()->install();
+    timer_auditors.push_back(std::make_unique<check::TimerAuditor>(host));
     conv.add_host(host, injector);
     dog.add_host(host, injector);
   }
 
   void on_pass() {
+    for (const auto& ta : timer_auditors) ta->on_pass();
     conv.on_pass();
     dog.on_pass();
   }
@@ -140,6 +145,7 @@ struct Supervision {
   /// Fold the auditors', then the recovery oracles' findings into `r`.
   void fold(SoakResult& r) const {
     for (const auto& aud : auditors) r.fold(*aud, "audit");
+    for (const auto& ta : timer_auditors) r.fold(*ta, "timer");
     r.fold(conv, "recover");
     r.fold(dog, "recover");
   }

@@ -113,11 +113,11 @@ struct SoakResult : check::Verdict {
 };
 
 /// The judges every scenario runs under: an invariant auditor per host,
-/// stepped by the host's post-pass hook, and a timer auditor per host
-/// (every PCB deadline armed on the wheel) and the recovery oracles,
-/// stepped once per scheduler pass by on_pass(). Each host is tracked
-/// with its injector, so the liveness clocks only start once its faults
-/// have cleared.
+/// stepped by the host's post-pass hook; a timer auditor per host (every
+/// PCB deadline armed on the wheel) and the recovery oracles, stepped
+/// once per scheduler pass by on_pass(). Each host is tracked with its
+/// injector, so the liveness clocks only start once its faults have
+/// cleared.
 struct Supervision {
   std::vector<std::unique_ptr<check::HostAuditor>> auditors;
   std::vector<std::unique_ptr<check::TimerAuditor>> timer_auditors;

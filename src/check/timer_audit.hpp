@@ -37,7 +37,7 @@ namespace ldlp::check {
 
 struct TimerAuditorStats {
   std::uint64_t passes = 0;
-  std::uint64_t timers_checked = 0;  ///< Armed PCB timers reconciled.
+  std::uint64_t timers_checked = 0;  ///< PCB deadlines reconciled.
 };
 
 class TimerAuditor final : public Judge {
